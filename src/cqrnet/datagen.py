@@ -405,7 +405,11 @@ def save_dataset_csv(ds: CensoredDataset, path):
 
 
 def load_dataset_csv(path, side="left") -> CensoredDataset:
-    """Read a dataset CSV, adding the intercept column back."""
+    """Read a dataset CSV, adding the intercept column back.
+
+    The result is validated (`CensoredDataset.validate`) for the given
+    side, so a hand-edited file fails here rather than in training.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -426,7 +430,7 @@ def load_dataset_csv(path, side="left") -> CensoredDataset:
         censored=data[:, p + 2].astype(bool),
         side=side,
         y_star=data[:, p + 3] if has_star else None,
-    )
+    ).validate()
 
 
 def save_daily_series_csv(path, counts, start_date="2020-01-01"):

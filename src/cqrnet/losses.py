@@ -55,19 +55,23 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _tilted(r, theta):
+    return np.maximum(theta * r, (theta - 1.0) * r)
+
+
+def _tilted_subgrad(r, theta):
+    return np.where(r >= 0.0, theta, theta - 1.0)
+
+
 def tilted_loss(r, theta):
     """rho_theta(r) = max(theta*r, (theta-1)*r), elementwise."""
-    theta = _check_theta(theta)
-    r = np.asarray(r, dtype=float)
-    out = np.maximum(theta * r, (theta - 1.0) * r)
+    out = _tilted(np.asarray(r, dtype=float), _check_theta(theta))
     return float(out) if out.ndim == 0 else out
 
 
 def tilted_loss_subgrad(r, theta):
     """d rho_theta / d r; the kink at r = 0 takes the upper branch (theta)."""
-    theta = _check_theta(theta)
-    r = np.asarray(r, dtype=float)
-    out = np.where(r >= 0.0, theta, theta - 1.0)
+    out = _tilted_subgrad(np.asarray(r, dtype=float), _check_theta(theta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -78,6 +82,17 @@ def _as_1d(name, x, n=None):
     if n is not None and x.shape[0] != n:
         raise ValueError(f"{name} has length {x.shape[0]}, expected {n}")
     return x
+
+
+# The underscored kernels below take arguments that were already validated;
+# the training loop validates its data once and calls them every epoch.
+
+def _censored_qr_nll(y, tau, preds, theta):
+    return float(np.sum(_tilted(y - np.maximum(tau, preds), theta)))
+
+
+def _censored_qr_nll_grad(y, tau, preds, theta):
+    return np.where(preds < tau, 0.0, -_tilted_subgrad(y - preds, theta))
 
 
 def censored_qr_nll(y, tau, preds, theta, include_constant=False):
@@ -93,7 +108,7 @@ def censored_qr_nll(y, tau, preds, theta, include_constant=False):
         raise ValueError("need at least one observation")
     tau = _as_1d("tau", tau, y.shape[0])
     preds = _as_1d("preds", preds, y.shape[0])
-    total = float(np.sum(tilted_loss(y - np.maximum(tau, preds), theta)))
+    total = _censored_qr_nll(y, tau, preds, theta)
     if include_constant:
         n = y.shape[0]
         total += -n * math.log(theta) - n * math.log(1.0 - theta)
@@ -110,23 +125,67 @@ def censored_qr_nll_grad(y, tau, preds, theta):
     y = _as_1d("y", y)
     tau = _as_1d("tau", tau, y.shape[0])
     preds = _as_1d("preds", preds, y.shape[0])
-    grad = -tilted_loss_subgrad(y - preds, theta)
-    return np.where(preds < tau, 0.0, grad)
+    return _censored_qr_nll_grad(y, tau, preds, theta)
 
 
-def _tobit_terms(y, censored, means, sigma, side):
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+def _check_sigma(sigma) -> float:
     sigma = float(sigma)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    return sigma
+
+
+def _check_tobit_data(y, censored):
     y = _as_1d("y", y)
     censored = np.asarray(censored, dtype=bool)
     if censored.shape != y.shape:
         raise ValueError("censored flags must match y")
-    means = _as_1d("means", means, y.shape[0])
+    return y, censored
+
+
+def _tobit_args(y, censored, means, sigma, side):
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    sigma = _check_sigma(sigma)
+    y, censored = _check_tobit_data(y, censored)
+    return y, censored, _as_1d("means", means, y.shape[0]), sigma, side
+
+
+def _tobit_prob(z, side):
+    prob = normal_cdf(z) if side == "lower" else normal_survival(z)
+    return np.maximum(prob, PROB_FLOOR)
+
+
+def _tobit_nll(y, censored, means, sigma, side):
     z = (y - means) / sigma
-    return y, censored, means, sigma, z
+    cens_ll = np.log(_tobit_prob(z, side))
+    dens_ll = normal_log_pdf(z) - math.log(sigma)
+    return float(-np.sum(np.where(censored, cens_ll, dens_ll)))
+
+
+def _tobit_nll_grad_mean(y, censored, means, sigma, side):
+    z = (y - means) / sigma
+    prob = _tobit_prob(z, side)
+    pdf = normal_pdf(z)
+    if side == "lower":
+        g_cens = pdf / prob / sigma
+    else:
+        g_cens = -pdf / prob / sigma
+    g_dens = -(y - means) / sigma**2
+    return np.where(censored, g_cens, g_dens)
+
+
+def _tobit_nll_grad_log_sigma(y, censored, means, sigma, side):
+    z = (y - means) / sigma
+    prob = _tobit_prob(z, side)
+    pdf = normal_pdf(z)
+    # dz/dlog(sigma) = -z; censored: -dlog(prob); density: 1 - z^2.
+    if side == "lower":
+        g_cens = z * pdf / prob
+    else:
+        g_cens = -z * pdf / prob
+    g_dens = 1.0 - z * z
+    return float(np.sum(np.where(censored, g_cens, g_dens)))
 
 
 def tobit_nll(y, censored, means, sigma, side="lower"):
@@ -137,37 +196,14 @@ def tobit_nll(y, censored, means, sigma, side="lower"):
     censorship or -log(1 - Phi(z)) for upper. The censored-side
     probability is floored at 1e-300 before the log.
     """
-    y, censored, means, sigma, z = _tobit_terms(y, censored, means, sigma, side)
-    prob = normal_cdf(z) if side == "lower" else normal_survival(z)
-    cens_ll = np.log(np.maximum(prob, PROB_FLOOR))
-    dens_ll = normal_log_pdf(z) - math.log(sigma)
-    return float(-np.sum(np.where(censored, cens_ll, dens_ll)))
+    return _tobit_nll(*_tobit_args(y, censored, means, sigma, side))
 
 
 def tobit_nll_grad_mean(y, censored, means, sigma, side="lower"):
     """d NLL / d mu_i for the summed Tobit NLL."""
-    y, censored, means, sigma, z = _tobit_terms(y, censored, means, sigma, side)
-    prob = normal_cdf(z) if side == "lower" else normal_survival(z)
-    prob = np.maximum(prob, PROB_FLOOR)
-    pdf = normal_pdf(z)
-    if side == "lower":
-        g_cens = pdf / prob / sigma
-    else:
-        g_cens = -pdf / prob / sigma
-    g_dens = -(y - means) / sigma**2
-    return np.where(censored, g_cens, g_dens)
+    return _tobit_nll_grad_mean(*_tobit_args(y, censored, means, sigma, side))
 
 
 def tobit_nll_grad_log_sigma(y, censored, means, sigma, side="lower"):
     """d NLL / d log(sigma), for joint scale estimation."""
-    y, censored, means, sigma, z = _tobit_terms(y, censored, means, sigma, side)
-    prob = normal_cdf(z) if side == "lower" else normal_survival(z)
-    prob = np.maximum(prob, PROB_FLOOR)
-    pdf = normal_pdf(z)
-    # dz/dlog(sigma) = -z; censored: -dlog(prob); density: 1 - z^2.
-    if side == "lower":
-        g_cens = z * pdf / prob
-    else:
-        g_cens = -z * pdf / prob
-    g_dens = 1.0 - z * z
-    return float(np.sum(np.where(censored, g_cens, g_dens)))
+    return _tobit_nll_grad_log_sigma(*_tobit_args(y, censored, means, sigma, side))

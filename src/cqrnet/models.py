@@ -11,7 +11,9 @@ Families
   the default model lists.
 * LstmQuantileNet: a single LSTM cell unrolled over the lag window (scalar
   inputs, oldest lag first) followed by a linear aggregation of the final
-  hidden state.
+  hidden state. One step loop serves evaluation and the recorded training
+  pass; each step takes one matmul and one tanh for all four gates (see
+  the class docstring for the fused gates and the cache layout).
 * MirrorWrapper: negates inputs and outputs of an inner net, which is how
   right-censored data is handled (fit the inner net on the negated,
   left-censored dataset at level 1 - theta).
@@ -20,6 +22,10 @@ All nets share the same contract: `forward(X)` for evaluation,
 `forward_train(X, rng)` to record the state backprop needs, and
 `backward(dpred)` returning parameter gradients for the summed upstream
 signal. Gradients include the L2 term where applicable.
+
+The sigmoid is computed as 0.5 + 0.5 * tanh(z / 2): it needs no branch on
+the sign of z, stays finite in both tails and agrees with 1 / (1 + e^-z)
+to within 2.2e-16.
 """
 
 from __future__ import annotations
@@ -46,21 +52,15 @@ def _elu_deriv(z):
 
 
 def _sigmoid(z):
-    # overflow-safe in both tails
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh form: finite in both tails, no branch on the sign of z
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=float))
 
 
 _ACTIVATIONS = {
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
     "elu": (_elu, _elu_deriv),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
+    "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
     "relu": (
         lambda z: np.maximum(z, 0.0),
         lambda z: (z > 0.0).astype(float),
@@ -293,6 +293,27 @@ class LstmQuantileNet(_Net):
     then lags newest-first); the recurrence consumes the lags oldest-first.
     Gate order in the stacked parameters is (input, forget, output,
     candidate); sigmoid gates, tanh candidate and cell output.
+
+    Each step computes all four gates with one matmul and one tanh. Step
+    t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
+    [w_h^T; w_x; b] of shape (h + 2, 4h), whose columns are scaled by s:
+    1/2 for the sigmoid gates, 1 for the candidate. Each gate is then
+    s * tanh(s * z) + 1 - s, which is sigmoid(z) for s = 1/2 and tanh(z)
+    for s = 1. `forward` and `forward_train` run the same loop
+    (`_unroll`) over preallocated state arrays; its `record` flag only
+    decides whether they are kept. The cache of a recorded pass over n rows
+    and T lags holds:
+
+    * rows (T + 1, n, h + 2): [h_{t-1}, x_t, 1] for each step; the hidden
+      part of the last slot is the final hidden state;
+    * gates (T, n, 4h): the gate activations in gate order;
+    * cs (T + 1, n, h): the cell states, from the zero initial state on;
+    * tanh_cs (T, n, h): tanh of each step's new cell state;
+    * scale (n, 4h): s repeated over the rows.
+
+    `backward` writes each step's pre-activation gradients into one
+    (T, n, 4h) buffer, and one contraction of that buffer with `rows`
+    gives the w_h, w_x and b gradients together.
     """
 
     family = "lstm"
@@ -314,6 +335,8 @@ class LstmQuantileNet(_Net):
             "w_out": np.zeros(h),
             "b_out": np.zeros(1),
         }
+        # per-column gate scale s; then d gate / dz = (gate - (1 - 2s)) * (1 - gate)
+        self._gate_scale = np.repeat([0.5, 0.5, 0.5, 1.0], h)
 
     @property
     def dim(self):
@@ -324,80 +347,77 @@ class LstmQuantileNet(_Net):
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"covariates must have shape (n, {self.dim}), got {X.shape}")
         lag_cols = X[:, 1:] if self.intercept_column else X
-        # lag columns are newest-first; the recurrence runs oldest-first
-        return lag_cols[:, ::-1]
+        # lag columns are newest-first; the recurrence runs oldest-first,
+        # so row t of the (T, n) result is step t
+        return lag_cols[:, ::-1].T
 
-    def _step(self, x_t, h_prev, c_prev):
+    def _unroll(self, X, record):
+        seq = self._sequence(X)
+        steps, n = seq.shape
         hsz = self.hidden_size
-        z = x_t[:, None] * self.params["w_x"][None, :] + h_prev @ self.params["w_h"].T + self.params["b"][None, :]
-        gates = _sigmoid(z[:, : 3 * hsz])
-        gi = gates[:, :hsz]
-        gf = gates[:, hsz : 2 * hsz]
-        go = gates[:, 2 * hsz :]
-        gc = np.tanh(z[:, 3 * hsz :])
-        c = gf * c_prev + gi * gc
-        tanh_c = np.tanh(c)
-        h = go * tanh_c
-        return gi, gf, gc, go, c, tanh_c, h
+        # step t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
+        weights = np.vstack([self.params["w_h"].T, self.params["w_x"], self.params["b"]]) * self._gate_scale
+        rows = np.empty((steps + 1, n, hsz + 2))
+        rows[0, :, :hsz] = 0.0
+        rows[:-1, :, hsz] = seq
+        rows[:, :, hsz + 1] = 1.0
+        scale = np.broadcast_to(self._gate_scale, (n, 4 * hsz)).copy()
+        shift = 1.0 - scale
+        gates = np.empty((steps, n, 4 * hsz))
+        cs = np.zeros((steps + 1, n, hsz))
+        tanh_cs = np.empty((steps, n, hsz))
+        for row, h, g, c_prev, c, tanh_c in zip(rows, rows[1:, :, :hsz], gates, cs, cs[1:], tanh_cs):
+            np.matmul(row, weights, out=g)
+            np.tanh(g, out=g)
+            g *= scale
+            g += shift
+            np.multiply(g[:, hsz : 2 * hsz], c_prev, out=c)
+            c += g[:, :hsz] * g[:, 3 * hsz :]
+            np.multiply(g[:, 2 * hsz : 3 * hsz], np.tanh(c, out=tanh_c), out=h)
+        if record:
+            self._cache = (rows, gates, cs, tanh_cs, scale)
+        out = rows[-1, :, :hsz] @ self.params["w_out"]
+        if self.output_bias:
+            out = out + self.params["b_out"][0]
+        return out
 
     def forward(self, X):
-        seq = self._sequence(X)
-        n = seq.shape[0]
-        h = np.zeros((n, self.hidden_size))
-        c = np.zeros((n, self.hidden_size))
-        for t in range(seq.shape[1]):
-            *_, c, _, h = self._step(seq[:, t], h, c)
-        out = h @ self.params["w_out"]
-        if self.output_bias:
-            out = out + self.params["b_out"][0]
-        return out
+        return self._unroll(X, record=False)
 
     def forward_train(self, X, rng=None):
-        seq = self._sequence(X)
-        n = seq.shape[0]
-        h = np.zeros((n, self.hidden_size))
-        c = np.zeros((n, self.hidden_size))
-        steps = []
-        for t in range(seq.shape[1]):
-            gi, gf, gc, go, c_new, tanh_c, h_new = self._step(seq[:, t], h, c)
-            steps.append((seq[:, t], h, c, gi, gf, gc, go, c_new, tanh_c))
-            h, c = h_new, c_new
-        self._cache = (steps, h)
-        out = h @ self.params["w_out"]
-        if self.output_bias:
-            out = out + self.params["b_out"][0]
-        return out
+        return self._unroll(X, record=True)
 
     def backward(self, dpred):
-        steps, h_last = self._require_cache()
+        rows, gates, cs, tanh_cs, scale = self._require_cache()
         d = np.asarray(dpred, dtype=float)
+        steps, n, width = gates.shape
         hsz = self.hidden_size
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads["w_out"] = h_last.T @ d
+        grads = {"w_out": rows[-1, :, :hsz].T @ d, "b_out": np.zeros(1)}
         if self.output_bias:
             grads["b_out"] = np.array([d.sum()])
+        gi, gf, go, gc = (gates[:, :, k * hsz : (k + 1) * hsz] for k in range(4))
+        # g(1 - g) for the sigmoid gates, (1 + g)(1 - g) for the candidate
+        dgates = (gates - (1.0 - 2.0 * scale)) * (1.0 - gates)
+        dtanh = go * (1.0 - tanh_cs**2)
+        dz_all = np.empty_like(gates)
+        w_h = self.params["w_h"]
         dh = d[:, None] * self.params["w_out"][None, :]
         dc = np.zeros_like(dh)
-        for x_t, h_prev, c_prev, gi, gf, gc, go, c_new, tanh_c in reversed(steps):
-            do = dh * tanh_c
-            dc = dc + dh * go * (1.0 - tanh_c**2)
-            di = dc * gc
-            dcand = dc * gi
-            df = dc * c_prev
-            dz = np.concatenate(
-                [
-                    di * gi * (1.0 - gi),
-                    df * gf * (1.0 - gf),
-                    do * go * (1.0 - go),
-                    dcand * (1.0 - gc**2),
-                ],
-                axis=1,
-            )
-            grads["w_x"] += dz.T @ x_t
-            grads["w_h"] += dz.T @ h_prev
-            grads["b"] += dz.sum(axis=0)
-            dh = dz @ self.params["w_h"]
-            dc = dc * gf
+        for t in range(steps - 1, -1, -1):
+            dz = dz_all[t]
+            dc = dc + dh * dtanh[t]
+            np.multiply(dc, gc[t], out=dz[:, :hsz])
+            np.multiply(dc, cs[t], out=dz[:, hsz : 2 * hsz])
+            np.multiply(dh, tanh_cs[t], out=dz[:, 2 * hsz : 3 * hsz])
+            np.multiply(dc, gi[t], out=dz[:, 3 * hsz :])
+            dz *= dgates[t]
+            dh = dz @ w_h
+            dc = dc * gf[t]
+        # one contraction over steps and rows for w_h, w_x and b together
+        stacked = dz_all.reshape(steps * n, width).T @ rows[:-1].reshape(steps * n, hsz + 2)
+        grads["w_h"] = stacked[:, :hsz]
+        grads["w_x"] = stacked[:, hsz]
+        grads["b"] = stacked[:, hsz + 1]
         return grads
 
     def config(self):

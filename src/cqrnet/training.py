@@ -159,7 +159,12 @@ def _clip(grads, clip_norm):
 
 
 class _LossSpec:
-    """Mean per-point loss and its gradient w.r.t. the predictions."""
+    """Mean per-point loss and its gradient w.r.t. the predictions.
+
+    The data and the quantile level are validated here, once per fit; the
+    per-epoch methods call the loss kernels on them directly. Only sigma,
+    which the Tobit fit may learn, is checked every epoch.
+    """
 
     def __init__(self, kind, ds: CensoredDataset, theta):
         if kind not in LOSS_KINDS:
@@ -167,16 +172,15 @@ class _LossSpec:
         if kind in ("tilted", "censored_nll"):
             if theta is None:
                 raise ValueError(f"{kind} loss needs a quantile level")
-            losses.tilted_loss(0.0, theta)  # validates theta
+            theta = losses._check_theta(theta)
         if kind == "censored_nll" and ds.side != "left":
             raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
         if kind == "censored_nll" and np.any(np.isnan(ds.tau)):
             raise ValueError("dataset has unimputed thresholds (NaN tau)")
         self.kind = kind
         self.theta = theta
-        self.y = ds.y
-        self.tau = ds.tau
-        self.censored = ds.censored
+        self.y, self.censored = losses._check_tobit_data(ds.y, ds.censored)
+        self.tau = losses._as_1d("tau", ds.tau, ds.n)
         self.n = ds.n
         # Tobit orientation follows the data side: left-censored data is
         # clipped from below ("lower"), right-censored from above.
@@ -184,20 +188,22 @@ class _LossSpec:
 
     def value(self, preds, sigma=1.0) -> float:
         if self.kind == "tilted":
-            return float(np.mean(losses.tilted_loss(self.y - preds, self.theta)))
+            return float(np.mean(losses._tilted(self.y - preds, self.theta)))
         if self.kind == "censored_nll":
-            return losses.censored_qr_nll(self.y, self.tau, preds, self.theta) / self.n
-        return losses.tobit_nll(self.y, self.censored, preds, sigma, self.tobit_side) / self.n
+            return losses._censored_qr_nll(self.y, self.tau, preds, self.theta) / self.n
+        return losses._tobit_nll(self.y, self.censored, preds, losses._check_sigma(sigma), self.tobit_side) / self.n
 
     def dpred(self, preds, sigma=1.0):
         if self.kind == "tilted":
-            return -losses.tilted_loss_subgrad(self.y - preds, self.theta) / self.n
+            return -losses._tilted_subgrad(self.y - preds, self.theta) / self.n
         if self.kind == "censored_nll":
-            return losses.censored_qr_nll_grad(self.y, self.tau, preds, self.theta) / self.n
-        return losses.tobit_nll_grad_mean(self.y, self.censored, preds, sigma, self.tobit_side) / self.n
+            return losses._censored_qr_nll_grad(self.y, self.tau, preds, self.theta) / self.n
+        return losses._tobit_nll_grad_mean(self.y, self.censored, preds, losses._check_sigma(sigma),
+                                           self.tobit_side) / self.n
 
     def dlog_sigma(self, preds, sigma) -> float:
-        return losses.tobit_nll_grad_log_sigma(self.y, self.censored, preds, sigma, self.tobit_side) / self.n
+        return losses._tobit_nll_grad_log_sigma(self.y, self.censored, preds, losses._check_sigma(sigma),
+                                                self.tobit_side) / self.n
 
 
 def _net_sigma(net) -> float:
@@ -369,11 +375,17 @@ def select_initialization(candidates, train_observed_mean, mil_ceiling=2.0):
     Candidates whose validation MIL exceeds `mil_ceiling` times the mean
     of the train observations are filtered out first; if that removes
     everyone, selection falls back to the unfiltered pool and flags it.
+    The mean must be positive and finite; any other value would divide by
+    zero or invert the filter, so it raises ValueError.
     Returns (winner, fallback_used).
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no initialization candidates")
+    if not (math.isfinite(train_observed_mean) and train_observed_mean > 0.0):
+        raise ValueError(
+            f"train observations must have a positive finite mean for the MIL filter, got {train_observed_mean}"
+        )
     survivors = [c for c in candidates if c.val_mil / train_observed_mean <= mil_ceiling]
     fallback = not survivors
     pool = candidates if fallback else survivors

@@ -16,8 +16,12 @@ def set_flat(params, order, flat):
         pos += size
 
 
-def fd_check(net, X, rng, rel=1e-5, upstream=None, mask=None):
-    """Central finite differences of sum(upstream * forward) over all params."""
+def fd_check(net, X, rng, rel=1e-5, upstream=None, mask=None, n_checks=10):
+    """Central finite differences of sum(upstream * forward) over the params.
+
+    Checks `n_checks` parameter indices drawn from `rng`, or every index
+    when `n_checks` is None.
+    """
     if upstream is None:
         upstream = rng.normal(size=X.shape[0])
 
@@ -33,7 +37,10 @@ def fd_check(net, X, rng, rel=1e-5, upstream=None, mask=None):
     flat_grad = flatten_params(grads, net.param_order)
     flat = flatten_params(net.params, net.param_order)
     h = 1e-6
-    idx = rng.choice(flat.size, size=min(flat.size, 10), replace=False)
+    if n_checks is None:
+        idx = range(flat.size)
+    else:
+        idx = rng.choice(flat.size, size=min(flat.size, n_checks), replace=False)
     for i in idx:
         bumped = flat.copy()
         bumped[i] += h

@@ -108,6 +108,27 @@ def test_fit_evaluate_pipeline(tmp_path):
                 assert doc[key] is None
 
 
+def test_fit_rejects_tampered_dataset_csv(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "heteroskedastic", "--n", 300,
+                "--seed", 1, "--out-dir", data_dir]) == 0
+    path = data_dir / "synthetic-heteroskedastic.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    y, tau, cens, y_star = (header.index(k) for k in ("y", "tau", "censored", "y_star"))
+    row = next(r for r in rows[1:] if r[cens] == "0")
+    # a non-censored row pushed below its threshold, latent value kept consistent
+    row[y] = row[y_star] = repr(float(row[tau]) - 1.0)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = run(["fit", "--data", path, "--models", "c-linear", "--thetas", "0.5",
+                "--seed", 1, "--out-dir", tmp_path / "fits"])
+    assert code != 0
+    assert "y >= tau" in capsys.readouterr().err
+
+
 def test_fit_tobit_via_cli(tmp_path):
     data_dir = tmp_path / "data"
     run(["generate", "--synthetic", "standard_gaussian", "--seed", 6, "--out-dir", data_dir])

@@ -70,3 +70,13 @@ def test_table_render_contains_verdicts():
     assert "Table 1" in text
     assert "[PASS]" in text or "[FAIL]" in text
     assert "theta=0.5" in text
+
+
+def test_t4_lstm_cell_pinned():
+    """Table 4's c-lstm cell at a fixed seed: ICPs exact, MILs to 1e-6."""
+    run = run_t4(master_seed=1, replicates=2, alphas=(0.2,), n_days=180, models=("c-lstm",), jobs=1)
+    assert [row[:3] for row in run.raw_rows] == [["c-lstm", 0.2, 0], ["c-lstm", 0.2, 1]]
+    assert [float(row[3]) for row in run.raw_rows] == [0.6140350877192983, 0.6140350877192983]
+    mils = [float(row[4]) for row in run.raw_rows]
+    assert mils == pytest.approx([90.9172366289812, 101.52178552829204], rel=1e-6)
+    assert run.passed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cqrnet.models import (
+    _sigmoid,
     LinearQuantileNet,
     LstmQuantileNet,
     MirrorWrapper,
@@ -78,6 +79,76 @@ def test_lstm_gradients_match_fd_small():
     net = init_weights(LstmQuantileNet(lags=5, hidden_size=2), "standard_normal", seed=1)
     X = np.column_stack([np.ones(6), rng.normal(size=(6, 5))])
     fd_check(net, X, rng)
+
+
+@pytest.mark.parametrize("output_bias, intercept_column", [(True, True), (False, True), (True, False)])
+def test_lstm_gradients_match_fd_every_parameter(output_bias, intercept_column):
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        net = LstmQuantileNet(lags=4, hidden_size=3, output_bias=output_bias, intercept_column=intercept_column)
+        init_weights(net, "standard_normal", seed=seed)
+        X = rng.normal(size=(6, net.dim))
+        if intercept_column:
+            X[:, 0] = 1.0
+        fd_check(net, X, rng, n_checks=None)
+
+
+def _reference_lstm(params, X, upstream):
+    """Step-by-step LSTM with plain logistic gates: (outputs, gradients)."""
+    w_x, w_h, b, w_out = params["w_x"], params["w_h"], params["b"], params["w_out"]
+    hsz = w_out.shape[0]
+    seq = X[:, :0:-1]
+    h = c = np.zeros((X.shape[0], hsz))
+    steps = []
+    for t in range(seq.shape[1]):
+        z = seq[:, t, None] * w_x + h @ w_h.T + b
+        gi, gf, go = (1.0 / (1.0 + np.exp(-z[:, k * hsz : (k + 1) * hsz])) for k in range(3))
+        gc = np.tanh(z[:, 3 * hsz :])
+        steps.append((seq[:, t], h, c, gi, gf, go, gc))
+        c = gf * c + gi * gc
+        h = go * np.tanh(c)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads["w_out"] = h.T @ upstream
+    grads["b_out"] = np.array([upstream.sum()])
+    dh, dc = upstream[:, None] * w_out, np.zeros_like(h)
+    for x_t, h_prev, c_prev, gi, gf, go, gc in reversed(steps):
+        tanh_c = np.tanh(gf * c_prev + gi * gc)
+        dc = dc + dh * go * (1.0 - tanh_c**2)
+        dz = np.concatenate([dc * gc * gi * (1.0 - gi), dc * c_prev * gf * (1.0 - gf),
+                             dh * tanh_c * go * (1.0 - go), dc * gi * (1.0 - gc**2)], axis=1)
+        grads["w_x"] += dz.T @ x_t
+        grads["w_h"] += dz.T @ h_prev
+        grads["b"] += dz.sum(axis=0)
+        dh, dc = dz @ w_h, dc * gf
+    return h @ w_out + params["b_out"][0], grads
+
+
+def test_lstm_matches_reference_loop():
+    for seed in range(20):
+        rng = np.random.default_rng(400 + seed)
+        net = init_weights(LstmQuantileNet(lags=7, hidden_size=8), "standard_normal", seed=seed)
+        X = np.column_stack([np.ones(60), 2.0 * rng.normal(size=(60, 7))])
+        upstream = rng.normal(size=60)
+        ref_out, ref_grads = _reference_lstm(net.params, X, upstream)
+        assert np.max(np.abs(net.forward_train(X) - ref_out)) <= 1e-12
+        grads = net.backward(upstream)
+        for k, g in ref_grads.items():
+            assert np.max(np.abs(grads[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+
+
+def test_lstm_forward_equals_forward_train_exactly():
+    rng = np.random.default_rng(31)
+    net = init_weights(LstmQuantileNet(lags=7, hidden_size=8), "standard_normal", seed=5)
+    X = np.column_stack([np.ones(60), 2.0 * rng.normal(size=(60, 7))])
+    assert np.array_equal(net.forward(X), net.forward_train(X))
+
+
+def test_sigmoid_tails_and_accuracy():
+    tails = _sigmoid(np.array([-800.0, 800.0]))
+    assert np.all(np.isfinite(tails))
+    assert np.all((tails >= 0.0) & (tails <= 1.0))
+    z = np.linspace(-30.0, 30.0, 60001)
+    assert np.max(np.abs(_sigmoid(z) - 1.0 / (1.0 + np.exp(-z)))) <= 3e-16
 
 
 @pytest.mark.parametrize("family", ["linear", "elu", "reg", "stacked", "lstm"])

@@ -253,6 +253,13 @@ def test_select_empty_errors():
         select_initialization([], train_observed_mean=1.0)
 
 
+@pytest.mark.parametrize("mean", [0.0, -2.0, float("nan"), float("inf")])
+def test_select_rejects_nonpositive_or_nonfinite_mean(mean):
+    cands = [InitCandidate(0, 0.90, 1.0), InitCandidate(1, 0.80, 3.0)]
+    with pytest.raises(ValueError, match="positive finite mean"):
+        select_initialization(cands, train_observed_mean=mean)
+
+
 def test_fit_result_serialization_round_trip(tmp_path):
     import json
 
