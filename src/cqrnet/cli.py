@@ -26,7 +26,7 @@ from .experiments import MODEL_NAMES, TABLES, child_seed, parse_model_name, _fit
 from .models import net_from_dict
 from .training import (
     TrainConfig,
-    impute_dataset_thresholds,
+    impute_thresholds,
     train_mean_ratio,
     write_trace_csv,
 )
@@ -85,23 +85,6 @@ def _manifest(path, command, args, config, outputs, stats=None):
     )
 
 
-def _dataset_csv_text(ds) -> str:
-    buf = io.StringIO()
-    p = ds.X.shape[1] - 1
-    header = [f"x{i}" for i in range(1, p + 1)] + ["y", "tau", "censored"]
-    if ds.y_star is not None:
-        header.append("y_star")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for i in range(ds.n):
-        row = [repr(float(v)) for v in ds.X[i, 1:]]
-        row += [repr(float(ds.y[i])), repr(float(ds.tau[i])), str(int(ds.censored[i]))]
-        if ds.y_star is not None:
-            row.append(repr(float(ds.y_star[i])))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # generate
 
@@ -136,7 +119,7 @@ def cmd_generate(args, parser):
             "noise": None, "lags": args.lags, "scheme": args.censor,
             "observed_over_latent_mean": float(np.mean(cs.y) / np.mean(cs.y_star)),
         }
-    _atomic_write(data_path, _dataset_csv_text(ds))
+    _atomic_write(data_path, datagen.dataset_csv_text(ds))
     config = {k: getattr(args, k) for k in
               ("synthetic", "censor", "n", "n_days", "gamma", "c1", "c2", "alpha", "lags", "zero_noise", "input")}
     manifest_path = os.path.join(args.out_dir, "generate-manifest.json")
@@ -172,7 +155,7 @@ def _prepare_for_fit(ds, seed):
     train, val, test = _protocol_split(ds, seed)
     if np.any(np.isnan(ds.tau)):
         ratio = train_mean_ratio(train.y_star, train.y)
-        train, val, test = (impute_dataset_thresholds(ratio, part) for part in (train, val, test))
+        train, val, test = (impute_thresholds(ratio, part) for part in (train, val, test))
     return train, val, test
 
 
@@ -434,12 +417,16 @@ def _apply_config_file(args, parser, subparser):
         return args
     with open(args.config) as fh:
         file_cfg = json.load(fh)
-    defaults = {a.dest: a.default for a in subparser._actions}
-    unknown = sorted(set(file_cfg) - set(defaults))
+    unknown = sorted(set(file_cfg) - {a.dest for a in subparser._actions})
     if unknown:
         parser.error(f"unknown config keys: {unknown}")
+    # re-parse with defaults suppressed: only flags actually given remain, and they win
+    fresh, fresh_subparsers = build_parser()
+    for action in fresh_subparsers[args.command]._actions:
+        action.default = argparse.SUPPRESS
+    explicit = vars(fresh.parse_args(args._argv))
     for key, value in file_cfg.items():
-        if getattr(args, key) == defaults[key]:
+        if key not in explicit:
             setattr(args, key, value)
     return args
 

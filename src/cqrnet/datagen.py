@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "split",
     "lag_features",
     "build_lagged_dataset",
+    "dataset_csv_text",
     "save_dataset_csv",
     "load_dataset_csv",
     "save_daily_series_csv",
@@ -387,21 +389,28 @@ def build_lagged_dataset(cs: CensoredSeries, lags=7) -> CensoredDataset:
 # CSV interfaces
 
 
-def save_dataset_csv(ds: CensoredDataset, path):
-    """Write `x1..xp,y,tau,censored[,y_star]`; the intercept is not stored."""
+def dataset_csv_text(ds: CensoredDataset) -> str:
+    """`x1..xp,y,tau,censored[,y_star]` as CSV text; the intercept is not stored."""
     p = ds.X.shape[1] - 1
     header = [f"x{i}" for i in range(1, p + 1)] + ["y", "tau", "censored"]
     if ds.y_star is not None:
         header.append("y_star")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i in range(ds.n):
+        row = [repr(float(v)) for v in ds.X[i, 1:]]
+        row += [repr(float(ds.y[i])), repr(float(ds.tau[i])), str(int(ds.censored[i]))]
+        if ds.y_star is not None:
+            row.append(repr(float(ds.y_star[i])))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def save_dataset_csv(ds: CensoredDataset, path):
+    """Write `dataset_csv_text(ds)` to `path`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.X[i, 1:]]
-            row += [repr(float(ds.y[i])), repr(float(ds.tau[i])), str(int(ds.censored[i]))]
-            if ds.y_star is not None:
-                row.append(repr(float(ds.y_star[i])))
-            writer.writerow(row)
+        fh.write(dataset_csv_text(ds))
 
 
 def load_dataset_csv(path, side="left") -> CensoredDataset:

@@ -85,14 +85,10 @@ def _as_1d(name, x, n=None):
 
 
 # The underscored kernels below take arguments that were already validated;
-# the training loop validates its data once and calls them every epoch.
+# the training objectives at the end of this module validate once per fit.
 
 def _censored_qr_nll(y, tau, preds, theta):
-    return float(np.sum(_tilted(y - np.maximum(tau, preds), theta)))
-
-
-def _censored_qr_nll_grad(y, tau, preds, theta):
-    return np.where(preds < tau, 0.0, -_tilted_subgrad(y - preds, theta))
+    return float(_tilted(y - np.maximum(tau, preds), theta).sum())
 
 
 def censored_qr_nll(y, tau, preds, theta, include_constant=False):
@@ -125,7 +121,7 @@ def censored_qr_nll_grad(y, tau, preds, theta):
     y = _as_1d("y", y)
     tau = _as_1d("tau", tau, y.shape[0])
     preds = _as_1d("preds", preds, y.shape[0])
-    return _censored_qr_nll_grad(y, tau, preds, theta)
+    return np.where(preds < tau, 0.0, -_tilted_subgrad(y - preds, theta))
 
 
 def _check_sigma(sigma) -> float:
@@ -144,48 +140,35 @@ def _check_tobit_data(y, censored):
 
 
 def _tobit_args(y, censored, means, sigma, side):
+    """Validate, then (censored, r, z, prob, sigma, side) as the kernels take them."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     sigma = _check_sigma(sigma)
     y, censored = _check_tobit_data(y, censored)
-    return y, censored, _as_1d("means", means, y.shape[0]), sigma, side
+    return (censored, *_tobit_z(y, _as_1d("means", means, y.shape[0]), sigma, side), sigma, side)
 
 
-def _tobit_prob(z, side):
+def _tobit_z(y, means, sigma, side):
+    """r = y - mu, z = r / sigma and the floored censored-side probability."""
+    r = y - means
+    z = r / sigma
     prob = normal_cdf(z) if side == "lower" else normal_survival(z)
-    return np.maximum(prob, PROB_FLOOR)
+    return r, z, np.maximum(prob, PROB_FLOOR)
 
 
-def _tobit_nll(y, censored, means, sigma, side):
-    z = (y - means) / sigma
-    cens_ll = np.log(_tobit_prob(z, side))
+def _tobit_nll(censored, z, prob, sigma):
     dens_ll = normal_log_pdf(z) - math.log(sigma)
-    return float(-np.sum(np.where(censored, cens_ll, dens_ll)))
+    return float(-np.where(censored, np.log(prob), dens_ll).sum())
 
 
-def _tobit_nll_grad_mean(y, censored, means, sigma, side):
-    z = (y - means) / sigma
-    prob = _tobit_prob(z, side)
-    pdf = normal_pdf(z)
-    if side == "lower":
-        g_cens = pdf / prob / sigma
-    else:
-        g_cens = -pdf / prob / sigma
-    g_dens = -(y - means) / sigma**2
-    return np.where(censored, g_cens, g_dens)
-
-
-def _tobit_nll_grad_log_sigma(y, censored, means, sigma, side):
-    z = (y - means) / sigma
-    prob = _tobit_prob(z, side)
-    pdf = normal_pdf(z)
+def _tobit_grads(censored, r, z, prob, sigma, side, log_sigma=True):
+    """d NLL / d mu_i and, with `log_sigma`, d NLL / d log(sigma) (else None)."""
+    spdf = normal_pdf(z) if side == "lower" else -normal_pdf(z)
+    grad_mean = np.where(censored, spdf / prob / sigma, -r / sigma**2)
+    if not log_sigma:
+        return grad_mean, None
     # dz/dlog(sigma) = -z; censored: -dlog(prob); density: 1 - z^2.
-    if side == "lower":
-        g_cens = z * pdf / prob
-    else:
-        g_cens = -z * pdf / prob
-    g_dens = 1.0 - z * z
-    return float(np.sum(np.where(censored, g_cens, g_dens)))
+    return grad_mean, float(np.where(censored, z * spdf / prob, 1.0 - z * z).sum())
 
 
 def tobit_nll(y, censored, means, sigma, side="lower"):
@@ -196,14 +179,97 @@ def tobit_nll(y, censored, means, sigma, side="lower"):
     censorship or -log(1 - Phi(z)) for upper. The censored-side
     probability is floored at 1e-300 before the log.
     """
-    return _tobit_nll(*_tobit_args(y, censored, means, sigma, side))
+    censored, _, z, prob, sigma, _ = _tobit_args(y, censored, means, sigma, side)
+    return _tobit_nll(censored, z, prob, sigma)
 
 
 def tobit_nll_grad_mean(y, censored, means, sigma, side="lower"):
     """d NLL / d mu_i for the summed Tobit NLL."""
-    return _tobit_nll_grad_mean(*_tobit_args(y, censored, means, sigma, side))
+    return _tobit_grads(*_tobit_args(y, censored, means, sigma, side), log_sigma=False)[0]
 
 
 def tobit_nll_grad_log_sigma(y, censored, means, sigma, side="lower"):
     """d NLL / d log(sigma), for joint scale estimation."""
-    return _tobit_nll_grad_log_sigma(*_tobit_args(y, censored, means, sigma, side))
+    return _tobit_grads(*_tobit_args(y, censored, means, sigma, side))[1]
+
+
+# -- training objectives ------------------------------------------------------
+# One object per loss validates its dataset (and theta) once per fit. Each epoch
+# `value` gives the mean per-point loss; `value_and_grad` gives that value, its
+# gradient w.r.t. the predictions and those of the loss's own parameters.
+
+class _QuantileLoss:
+    def __init__(self, ds, theta, net):
+        if theta is None:
+            raise ValueError(f"{self.name} loss needs a quantile level")
+        self.theta = _check_theta(theta)
+        self.y, self.tau, self.n = _as_1d("y", ds.y), _as_1d("tau", ds.tau, ds.n), ds.n
+        # -rho'(r) / n on either side of the kink: d(mean loss) / d qhat
+        self._dpred_upper, self._dpred_lower = -self.theta / self.n, -(self.theta - 1.0) / self.n
+
+
+class TiltedLoss(_QuantileLoss):
+    """Mean tilted loss of y - qhat; blind to censoring."""
+
+    name = "tilted"
+
+    def value(self, preds) -> float:
+        return float(_tilted(self.y - preds, self.theta).sum()) / self.n
+
+    def value_and_grad(self, preds):
+        r = self.y - preds
+        dpred = np.where(r >= 0.0, self._dpred_upper, self._dpred_lower)
+        return float(_tilted(r, self.theta).sum()) / self.n, dpred, {}
+
+
+class CensoredQrLoss(_QuantileLoss):
+    """Mean censored quantile NLL of y - max(tau, qhat); left-censored data."""
+
+    name = "censored_nll"
+
+    def __init__(self, ds, theta, net):
+        super().__init__(ds, theta, net)
+        if ds.side != "left":
+            raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
+        if np.any(np.isnan(self.tau)):
+            raise ValueError("dataset has unimputed thresholds (NaN tau)")
+
+    def value(self, preds) -> float:
+        return _censored_qr_nll(self.y, self.tau, preds, self.theta) / self.n
+
+    def value_and_grad(self, preds):
+        # where qhat >= tau, max(tau, qhat) == qhat: the clamped residual is
+        # y - qhat on every row whose gradient is not zeroed
+        r = self.y - np.maximum(self.tau, preds)
+        dpred = np.where(preds < self.tau, 0.0, np.where(r >= 0.0, self._dpred_upper, self._dpred_lower))
+        return float(_tilted(r, self.theta).sum()) / self.n, dpred, {}
+
+
+class TobitLoss:
+    """Mean Tobit NLL, lower for left-censored data and upper for right.
+
+    The scale is the TobitNet's current sigma, checked every epoch; when
+    it is learned, this loss also returns the `log_sigma` gradient.
+    """
+
+    def __init__(self, ds, theta, net):
+        self.y, self.censored = _check_tobit_data(ds.y, ds.censored)
+        self.n = ds.n
+        self.side = "lower" if ds.side == "left" else "upper"
+        self._net = net
+        self._learned = "log_sigma" in net.params
+
+    def value(self, preds) -> float:
+        sigma = _check_sigma(self._net.current_sigma())
+        _, z, prob = _tobit_z(self.y, preds, sigma, self.side)
+        return _tobit_nll(self.censored, z, prob, sigma) / self.n
+
+    def value_and_grad(self, preds):
+        sigma = _check_sigma(self._net.current_sigma())
+        r, z, prob = _tobit_z(self.y, preds, sigma, self.side)
+        grad_mean, grad_log_sigma = _tobit_grads(self.censored, r, z, prob, sigma, self.side, self._learned)
+        param_grads = {"log_sigma": np.array([grad_log_sigma / self.n])} if self._learned else {}
+        return _tobit_nll(self.censored, z, prob, sigma) / self.n, grad_mean / self.n, param_grads
+
+
+TRAINING_LOSSES = {"tilted": TiltedLoss, "censored_nll": CensoredQrLoss, "tobit": TobitLoss}

@@ -89,6 +89,12 @@ class _Net:
     def backward(self, dpred):
         raise NotImplementedError
 
+    def _check(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"covariates must have shape (n, {self.dim}), got {X.shape}")
+        return X
+
     def _require_cache(self):
         if self._cache is None:
             raise RuntimeError("backward called without a recorded forward pass")
@@ -139,12 +145,6 @@ class LinearQuantileNet(_Net):
         self._act, self._act_deriv = _ACTIVATIONS[activation]
         self.params = {"beta": np.zeros(self.dim)}
 
-    def _check(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"covariates must have shape (n, {self.dim}), got {X.shape}")
-        return X
-
     def forward(self, X):
         X = self._check(X)
         return self._act(X @ self.params["beta"])
@@ -157,7 +157,9 @@ class LinearQuantileNet(_Net):
 
     def backward(self, dpred):
         X, z = self._require_cache()
-        dz = np.asarray(dpred, dtype=float) * self._act_deriv(z)
+        dz = np.asarray(dpred, dtype=float)
+        if self.activation != "identity":
+            dz = dz * self._act_deriv(z)
         return {"beta": X.T @ dz}
 
     def config(self):
@@ -236,12 +238,6 @@ class StackedUnitNet(_Net):
             "w_out": np.zeros(self.units),
             "b_out": np.zeros(1),
         }
-
-    def _check(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"covariates must have shape (n, {self.dim}), got {X.shape}")
-        return X
 
     def forward(self, X):
         X = self._check(X)
@@ -343,9 +339,7 @@ class LstmQuantileNet(_Net):
         return self.lags + (1 if self.intercept_column else 0)
 
     def _sequence(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"covariates must have shape (n, {self.dim}), got {X.shape}")
+        X = self._check(X)
         lag_cols = X[:, 1:] if self.intercept_column else X
         # lag columns are newest-first; the recurrence runs oldest-first,
         # so row t of the (T, n) result is step t

@@ -23,8 +23,6 @@ MIXTURE_WIDE_SD = 2.0
 # Single-Gaussian stand-in scale some evaluations use for the mixture.
 MIXTURE_COMPAT_SCALE = math.sqrt(0.75**2 + 0.25**2)
 
-_erfc_vec = np.frompyfunc(math.erfc, 1, 1)
-
 
 def normal_pdf(z):
     """Density of N(0,1); scalar or ndarray."""
@@ -44,15 +42,13 @@ def normal_cdf(z):
     if np.ndim(z) == 0:
         return 0.5 * math.erfc(-float(z) / SQRT2)
     z = np.asarray(z, dtype=float)
-    return 0.5 * _erfc_vec(-z / SQRT2).astype(float)
+    erfc = np.fromiter(map(math.erfc, (-z / SQRT2).ravel().tolist()), float, count=z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 def normal_survival(z):
-    """1 - Phi(z) without cancellation for large z."""
-    if np.ndim(z) == 0:
-        return 0.5 * math.erfc(float(z) / SQRT2)
-    z = np.asarray(z, dtype=float)
-    return 0.5 * _erfc_vec(z / SQRT2).astype(float)
+    """1 - Phi(z) = Phi(-z), without cancellation for large z."""
+    return normal_cdf(-np.asarray(z, dtype=float))
 
 
 def _quantile_initial(p: float) -> float:

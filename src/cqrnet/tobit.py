@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import CensoredDataset
-from .models import LinearQuantileNet
+from .models import LinearQuantileNet, init_weights
 from .normal import std_normal_quantile
 from .training import TrainConfig, FitResult, fit
 
@@ -44,11 +44,8 @@ class TobitNet(LinearQuantileNet):
         return self.sigma
 
     def backward(self, dpred):
-        grads = super().backward(dpred)
-        if self.estimate_sigma:
-            # filled by the training loop from the likelihood's scale score
-            grads["log_sigma"] = np.zeros(1)
-        return grads
+        """Mean weights only; a learned log-sigma's gradient is the likelihood's (`losses.TobitLoss`)."""
+        return super().backward(dpred)
 
     def config(self):
         return {"dim": self.dim, "sigma": self.sigma, "estimate_sigma": self.estimate_sigma}
@@ -81,8 +78,6 @@ def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
     data uses the lower form). Weights start at ones unless a different
     scheme is requested.
     """
-    from .models import init_weights
-
     net = TobitNet(train.X.shape[1], sigma=sigma, estimate_sigma=estimate_sigma)
     init_weights(net, init_scheme, seed=init_seed)
     if estimate_sigma:

@@ -8,6 +8,14 @@ the Adam moment updates. Training stops once the validation loss has not
 improved for `patience` consecutive epochs, and the parameters from the
 best validation epoch are returned.
 
+An epoch makes one `value_and_grad` call of the training loss: its value,
+its gradient w.r.t. the predictions and those of the loss's own parameters
+(a learned Tobit scale). The parameters live in one flat vector, each
+`net.params[k]` a view of it, so clipping, the Adam step and the
+best-epoch snapshot each act on one array. The clip norm adds the
+per-parameter sums of squares in the order `backward` returns the
+gradients, which keeps seeded traces stable to the bit.
+
 Right-censored data must go through the mirror route: `fit_quantile`
 negates the dataset, fits the inner net at level 1 - theta, and returns
 a MirrorWrapper whose predictions are already in the original
@@ -18,12 +26,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import losses
-from .datagen import CensoredDataset, CensoredSeries
 from .models import MirrorWrapper
 
 __all__ = [
@@ -37,14 +44,10 @@ __all__ = [
     "mirror_fit_predict",
     "train_mean_ratio",
     "impute_thresholds",
-    "impute_dataset_thresholds",
     "InitCandidate",
     "select_initialization",
     "write_trace_csv",
 ]
-
-LOSS_KINDS = ("tilted", "censored_nll", "tobit")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,6 +86,8 @@ class FitResult:
     hit_max_epochs: bool
     wall_time: float
     mirrored: bool = False
+    # {"stop_reason": "patience" | "max_epochs", "clip_share": share of Adam steps clipped}
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def best_val_loss(self) -> float:
@@ -105,6 +110,7 @@ class FitResult:
             "mirrored": self.mirrored,
             "train_trace": self.train_trace,
             "val_trace": self.val_trace,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -128,88 +134,33 @@ class AllFitsDivergedError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-class _Adam:
-    def __init__(self, params, cfg: TrainConfig):
-        self.lr = cfg.learning_rate
-        self.b1, self.b2, self.eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def step(self, params, grads):
-        self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
-        for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
-            params[k] = params[k] - self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+def _flatten_params(net):
+    """Copy the net's parameters into one flat vector and rebind each
+    `net.params[k]` to a view of it; returns the vector and each key's slice."""
+    flat = np.concatenate(list(net.params.values()), axis=None, dtype=float)
+    slices, start = {}, 0
+    for k, v in list(net.params.items()):
+        slices[k] = slice(start, start + v.size)
+        net.params[k] = flat[slices[k]].reshape(v.shape)
+        start += v.size
+    return flat, slices
 
 
-def _global_norm(grads) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
-def _clip(grads, clip_norm):
-    norm = _global_norm(grads)
-    if norm > clip_norm:
-        scale = clip_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads
-
-
-class _LossSpec:
-    """Mean per-point loss and its gradient w.r.t. the predictions.
-
-    The data and the quantile level are validated here, once per fit; the
-    per-epoch methods call the loss kernels on them directly. Only sigma,
-    which the Tobit fit may learn, is checked every epoch.
-    """
-
-    def __init__(self, kind, ds: CensoredDataset, theta):
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {kind!r}")
-        if kind in ("tilted", "censored_nll"):
-            if theta is None:
-                raise ValueError(f"{kind} loss needs a quantile level")
-            theta = losses._check_theta(theta)
-        if kind == "censored_nll" and ds.side != "left":
-            raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
-        if kind == "censored_nll" and np.any(np.isnan(ds.tau)):
-            raise ValueError("dataset has unimputed thresholds (NaN tau)")
-        self.kind = kind
-        self.theta = theta
-        self.y, self.censored = losses._check_tobit_data(ds.y, ds.censored)
-        self.tau = losses._as_1d("tau", ds.tau, ds.n)
-        self.n = ds.n
-        # Tobit orientation follows the data side: left-censored data is
-        # clipped from below ("lower"), right-censored from above.
-        self.tobit_side = "lower" if ds.side == "left" else "upper"
-
-    def value(self, preds, sigma=1.0) -> float:
-        if self.kind == "tilted":
-            return float(np.mean(losses._tilted(self.y - preds, self.theta)))
-        if self.kind == "censored_nll":
-            return losses._censored_qr_nll(self.y, self.tau, preds, self.theta) / self.n
-        return losses._tobit_nll(self.y, self.censored, preds, losses._check_sigma(sigma), self.tobit_side) / self.n
-
-    def dpred(self, preds, sigma=1.0):
-        if self.kind == "tilted":
-            return -losses._tilted_subgrad(self.y - preds, self.theta) / self.n
-        if self.kind == "censored_nll":
-            return losses._censored_qr_nll_grad(self.y, self.tau, preds, self.theta) / self.n
-        return losses._tobit_nll_grad_mean(self.y, self.censored, preds, losses._check_sigma(sigma),
-                                           self.tobit_side) / self.n
-
-    def dlog_sigma(self, preds, sigma) -> float:
-        return losses._tobit_nll_grad_log_sigma(self.y, self.censored, preds, losses._check_sigma(sigma),
-                                                self.tobit_side) / self.n
-
-
-def _net_sigma(net) -> float:
-    if "log_sigma" in net.params:
-        return float(np.exp(net.params["log_sigma"][0]))
-    return float(getattr(net, "sigma", 1.0))
+def _adam_step(flat, grad, m, v, t, cfg: TrainConfig):
+    """Adam update number t (from 1) of `flat` and its moments m, v, in place."""
+    m *= cfg.adam_beta1
+    m += (1.0 - cfg.adam_beta1) * grad
+    v *= cfg.adam_beta2
+    grad_sq = (1.0 - cfg.adam_beta2) * grad
+    grad_sq *= grad
+    v += grad_sq
+    step = m / (1.0 - cfg.adam_beta1**t)
+    step *= cfg.learning_rate
+    denom = v / (1.0 - cfg.adam_beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    step /= denom
+    flat -= step
 
 
 def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
@@ -221,23 +172,27 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     """
     if train.n < 1 or val.n < 1:
         raise ValueError("train and val must be nonempty")
-    train_loss = _LossSpec(loss_kind, train, theta)
-    val_loss = _LossSpec(loss_kind, val, theta)
+    if loss_kind not in losses.TRAINING_LOSSES:
+        raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
+    train_loss = losses.TRAINING_LOSSES[loss_kind](train, theta, net)
+    val_loss = losses.TRAINING_LOSSES[loss_kind](val, theta, net)
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(net.params, cfg)
     started = time.perf_counter()
 
+    flat, slices = _flatten_params(net)
+    best_flat = flat.copy()
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     train_trace, val_trace = [], []
     best = math.inf
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in net.params.items()}
-    hit_max = True
+    stop_reason = "max_epochs"
+    steps = clipped = 0
     epoch = 0
     for epoch in range(cfg.max_epochs):
-        sigma = _net_sigma(net)
         preds = net.forward_train(train.X, rng)
-        tr = train_loss.value(preds, sigma) + net.l2_penalty()
-        va = val_loss.value(net.forward(val.X), sigma)
+        tr, dpred, loss_grads = train_loss.value_and_grad(preds)
+        tr += net.l2_penalty()
+        va = val_loss.value(net.forward(val.X))
         if not (math.isfinite(tr) and math.isfinite(va)):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {epoch} (train={tr}, val={va})", train_trace, val_trace
@@ -247,18 +202,23 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         if va < best:
             best = va
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in net.params.items()}
+            np.copyto(best_flat, flat)
         if epoch - best_epoch >= cfg.patience:
-            hit_max = False
+            stop_reason = "patience"
             break
-        grads = net.backward(train_loss.dpred(preds, sigma))
-        if loss_kind == "tobit" and "log_sigma" in grads:
-            grads["log_sigma"] = np.array([train_loss.dlog_sigma(preds, sigma)])
-        grads = _clip(grads, cfg.clip_norm)
-        opt.step(net.params, grads)
+        grads = net.backward(dpred)
+        grads.update(loss_grads)
+        grad = np.concatenate([grads[k] for k in slices], axis=None)
+        grad_sq = grad * grad
+        norm = math.sqrt(sum(float(grad_sq[slices[k]].sum()) for k in grads))
+        if norm > cfg.clip_norm:
+            grad *= cfg.clip_norm / norm
+            clipped += 1
+        steps += 1
+        _adam_step(flat, grad, m, v, steps, cfg)
 
     fitted = net.copy()
-    fitted.params = {k: v.copy() for k, v in best_params.items()}
+    fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
     return FitResult(
         net=fitted,
         loss_kind=loss_kind,
@@ -269,8 +229,9 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         val_trace=val_trace,
         best_epoch=best_epoch,
         stopping_epoch=epoch,
-        hit_max_epochs=hit_max,
+        hit_max_epochs=stop_reason == "max_epochs",
         wall_time=time.perf_counter() - started,
+        diagnostics={"stop_reason": stop_reason, "clip_share": clipped / steps},
     )
 
 
@@ -329,33 +290,21 @@ def train_mean_ratio(y_star_train, y_train) -> float:
     return float(np.mean(y_star_train)) / denom
 
 
-def impute_thresholds(ratio: float, cs: CensoredSeries) -> CensoredSeries:
+def impute_thresholds(ratio: float, data):
     """Fill thresholds of non-censored points as tau = y * ratio.
 
-    Censored points keep tau = y from the censoring scheme. The ratio is
-    computed on training rows only and reused unchanged for validation
-    and test imputation.
+    `data` is a CensoredSeries or a CensoredDataset; the result is the
+    same container with copied arrays (a dataset's X is shared). Censored
+    points keep tau = y from the censoring scheme. The ratio comes from
+    training rows only and is reused for validation and test rows.
     """
     if not np.isfinite(ratio) or ratio <= 0.0:
         raise ValueError(f"imputation ratio must be a positive real, got {ratio}")
-    tau = cs.tau.copy()
-    nc = ~cs.censored
-    tau[nc] = cs.y[nc] * ratio
-    return CensoredSeries(y=cs.y.copy(), tau=tau, censored=cs.censored.copy(), y_star=cs.y_star.copy(), side=cs.side)
-
-
-def impute_dataset_thresholds(ratio: float, ds: CensoredDataset) -> CensoredDataset:
-    """Dataset-level variant of impute_thresholds (same formula row-wise)."""
-    if not np.isfinite(ratio) or ratio <= 0.0:
-        raise ValueError(f"imputation ratio must be a positive real, got {ratio}")
-    tau = ds.tau.copy()
-    nc = ~ds.censored
-    tau[nc] = ds.y[nc] * ratio
-    return CensoredDataset(
-        X=ds.X, y=ds.y.copy(), tau=tau, censored=ds.censored.copy(),
-        side=ds.side, y_star=None if ds.y_star is None else ds.y_star.copy(),
-        true_quantiles=dict(ds.true_quantiles),
-    )
+    tau = data.tau.copy()
+    nc = ~data.censored
+    tau[nc] = data.y[nc] * ratio
+    return replace(data, y=data.y.copy(), tau=tau, censored=data.censored.copy(),
+                   y_star=None if data.y_star is None else data.y_star.copy())
 
 
 @dataclass

@@ -240,6 +240,7 @@ def test_criterion_8_fleet_reduction_ratio():
     assert report(8, ok, f"mean(y)/mean(y*) at alpha=0.4: {mean_ratio:.4f} (0.60 +/- 0.02)")
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_protocols():
     started = time.perf_counter()
     bike = run_bike_protocol(master_seed=MASTER_SEED)

@@ -191,6 +191,21 @@ def test_config_file_merging(tmp_path):
     assert read_manifest(out2 / "generate-manifest.json")["stats"]["n"] == 80
 
 
+def test_config_precedence_explicit_flag_equal_to_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthetic": "standard_gaussian", "n": 500, "zero_noise": True}))
+    # --n 1000 is also the default, yet it was given, so it beats the file
+    out = tmp_path / "explicit"
+    assert run(["generate", "--config", cfg, "--n", 1000, "--out-dir", out]) == 0
+    manifest = read_manifest(out / "generate-manifest.json")
+    assert manifest["stats"]["n"] == 1000
+    assert manifest["config"]["zero_noise"] is True
+    # without the flag the file's value applies
+    out = tmp_path / "from-file"
+    assert run(["generate", "--config", cfg, "--out-dir", out]) == 0
+    assert read_manifest(out / "generate-manifest.json")["stats"]["n"] == 500
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))

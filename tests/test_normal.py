@@ -63,6 +63,20 @@ def test_cdf_survival_complement():
     assert np.allclose(normal_cdf(z) + normal_survival(z), 1.0, atol=1e-14)
 
 
+def test_cdf_and_survival_equal_scalar_erfc_per_element():
+    z = np.concatenate([[-40.0, -38.5, -8.0, -0.0, 0.0, 1e-300, 8.0, 38.5, 40.0],
+                        np.random.default_rng(0).normal(scale=3.0, size=201)])
+    for arr in (z, z.reshape(2, -1)):
+        cdf, surv = normal_cdf(arr), normal_survival(arr)
+        assert cdf.dtype == surv.dtype == np.float64 and cdf.shape == arr.shape
+        for x, c, s in zip(arr.ravel(), cdf.ravel(), surv.ravel()):
+            assert c == 0.5 * math.erfc(-x / math.sqrt(2.0))
+            assert s == 0.5 * math.erfc(x / math.sqrt(2.0))
+    for empty in (normal_cdf(np.array([])), normal_survival(np.empty((0, 3)))):
+        assert empty.dtype == np.float64 and empty.size == 0
+    assert normal_survival(np.empty((0, 3))).shape == (0, 3)
+
+
 def test_pdf_is_cdf_derivative():
     for x in (-3.0, -0.7, 0.0, 1.2, 4.0):
         h = 1e-6

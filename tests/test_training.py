@@ -16,7 +16,7 @@ from cqrnet.training import (
     InitCandidate,
     NonFiniteLossError,
     TrainConfig,
-    _Adam,
+    _adam_step,
     fit,
     fit_quantile,
     fit_with_lr_grid,
@@ -35,10 +35,10 @@ def linear_dataset(beta, n=200, seed=0, noise=0.0):
 
 
 def test_adam_zero_gradient_is_noop():
-    params = {"w": np.array([1.0, -2.0])}
-    opt = _Adam(params, TrainConfig())
-    opt.step(params, {"w": np.zeros(2)})
-    assert np.array_equal(params["w"], np.array([1.0, -2.0]))
+    flat = np.array([1.0, -2.0])
+    m, v = np.zeros(2), np.zeros(2)
+    _adam_step(flat, np.zeros(2), m, v, 1, TrainConfig())
+    assert np.array_equal(flat, np.array([1.0, -2.0]))
 
 
 def test_config_validation():
@@ -185,20 +185,30 @@ def test_mirror_fit_predict_requires_right_censored():
 
 # -- threshold imputation ----------------------------------------------------
 
+def as_dataset(cs):
+    """The series as a one-column (intercept-only) dataset."""
+    return CensoredDataset(X=np.ones((cs.n, 1)), y=cs.y, tau=cs.tau, censored=cs.censored,
+                           side=cs.side, y_star=cs.y_star)
+
+
 def test_impute_ratio_examples():
     series = np.arange(1.0, 101.0)
     cs = censor_partial(series, 0.0, 0.3, 0.6, seed=18)
     ratio = train_mean_ratio(cs.y_star[:50], cs.y[:50])
     assert ratio == pytest.approx(1.0)
-    filled = impute_thresholds(ratio, cs)
-    assert np.allclose(filled.tau, filled.y)
+    for data in (cs, as_dataset(cs)):
+        filled = impute_thresholds(ratio, data)
+        assert type(filled) is type(data)
+        assert np.allclose(filled.tau, filled.y)
 
     cs = censor_partial(series, 1.0, 0.5, 0.5, seed=19)
     ratio = train_mean_ratio(cs.y_star[:50], cs.y[:50])
     assert ratio == pytest.approx(2.0)
     # everything censored: imputation leaves the scheme thresholds alone
-    filled = impute_thresholds(ratio, cs)
-    assert np.allclose(filled.tau, cs.y)
+    for data in (cs, as_dataset(cs)):
+        filled = impute_thresholds(ratio, data)
+        assert np.allclose(filled.tau, cs.y)
+        assert filled.tau is not data.tau and filled.y is not data.y
 
 
 def test_impute_ratio_scale_invariance():
@@ -218,8 +228,9 @@ def test_impute_zero_mean_errors():
 def test_imputed_thresholds_respect_right_censoring():
     series = np.random.default_rng(22).uniform(5, 15, 300)
     cs = censor_partial(series, 0.5, 0.2, 0.8, seed=23)
-    filled = impute_thresholds(train_mean_ratio(cs.y_star, cs.y), cs)
-    assert np.all(filled.y <= filled.tau + 1e-12)
+    for data in (cs, as_dataset(cs)):
+        filled = impute_thresholds(train_mean_ratio(cs.y_star, cs.y), data)
+        assert np.all(filled.y <= filled.tau + 1e-12)
 
 
 # -- initialization selection -------------------------------------------------
@@ -271,8 +282,12 @@ def test_fit_result_serialization_round_trip(tmp_path):
     result = fit(init_weights(LinearQuantileNet(3), "ones"), "censored_nll",
                  train, val, TrainConfig(), theta=0.5)
     doc = result.to_json_dict()
-    clone = net_from_dict(json.loads(json.dumps(doc))["net"])
+    loaded = json.loads(json.dumps(doc))
+    clone = net_from_dict(loaded["net"])
     assert np.allclose(clone.forward(test.X), result.net.forward(test.X))
+    assert loaded["diagnostics"] == result.diagnostics
+    assert loaded["diagnostics"]["stop_reason"] == ("max_epochs" if result.hit_max_epochs else "patience")
+    assert 0.0 <= loaded["diagnostics"]["clip_share"] <= 1.0
 
     path = tmp_path / "trace.csv"
     write_trace_csv(result, path)
