@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, datagen, metrics, tobit
-from .experiments import MODEL_NAMES, TABLES, child_seed, parse_model_name, _fit_model
+from .experiments import MODEL_NAMES, TABLES, child_seed, fit_model, parse_model_name
 from .models import net_from_dict
 from .training import (
     TrainConfig,
@@ -143,16 +143,14 @@ def _load_dataset_with_manifest(data_path):
     return datagen.load_dataset_csv(data_path, side=side), noise
 
 
-def _protocol_split(ds, seed):
-    """Random 62/15/23 for cross-sectional data; consecutive thirds for
-    (right-censored) series datasets."""
-    if ds.side == "right":
-        return datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
-    return datagen.split(ds, seed=seed)
-
-
 def _prepare_for_fit(ds, seed):
-    train, val, test = _protocol_split(ds, seed)
+    """Train/val/test: random 62/15/23 for cross-sectional data, consecutive
+    thirds for (right-censored) series datasets; missing thresholds imputed
+    with the training rows' ratio."""
+    if ds.side == "right":
+        train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+    else:
+        train, val, test = datagen.split(ds, seed=seed)
     if np.any(np.isnan(ds.tau)):
         ratio = train_mean_ratio(train.y_star, train.y)
         train, val, test = (impute_thresholds(ratio, part) for part in (train, val, test))
@@ -161,16 +159,14 @@ def _prepare_for_fit(ds, seed):
 
 def _fit_cell(task):
     """One (model, theta) cell; module-level so worker processes can run it."""
-    (model, theta, data_path, split_seed, fit_seed, cfg_kwargs, use_grid, init_scheme, init_seed) = task
-    ds, _ = _load_dataset_with_manifest(data_path)
+    (model, theta, train, val, fit_seed, cfg_kwargs, use_grid, init_scheme, init_seed) = task
     cfg = TrainConfig(seed=fit_seed, **cfg_kwargs)
-    train, val, _ = _prepare_for_fit(ds, split_seed)
     if model == "tobit":
         result = tobit.tobit_fit(train, val, cfg, init_scheme=init_scheme, init_seed=init_seed)
         result.theta = theta
     else:
-        result = _fit_model(model, train, val, cfg, theta,
-                            init_scheme=init_scheme, init_seed=init_seed, use_lr_grid=use_grid)
+        result = fit_model(model, train, val, cfg, theta,
+                           init_scheme=init_scheme, init_seed=init_seed, use_lr_grid=use_grid)
     return model, theta, result
 
 
@@ -189,7 +185,8 @@ def cmd_fit(args, parser):
         parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)}, "
                      f"c-stacked-<act>-<units>, or tobit)")
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
-    _load_dataset_with_manifest(args.data)  # validate early
+    ds, _ = _load_dataset_with_manifest(args.data)
+    train, val, _ = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
 
     cfg_kwargs = {}
     if args.learning_rate is not None:
@@ -201,14 +198,13 @@ def cmd_fit(args, parser):
     use_grid = args.learning_rate is None and not args.no_lr_grid
 
     tasks, outputs, skipped = [], [], 0
-    split_seed = child_seed(args.seed, "fit", "split")
     for model in models:
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
                 skipped += 1
                 continue
-            tasks.append((model, theta, args.data, split_seed,
+            tasks.append((model, theta, train, val,
                           child_seed(args.seed, "fit", model, theta),
                           cfg_kwargs, use_grid, args.init,
                           child_seed(args.seed, "fit", "init", model, theta)))

@@ -39,6 +39,7 @@ __all__ = [
     "child_seed",
     "MODEL_NAMES",
     "build_net",
+    "fit_model",
     "TableRun",
     "run_t1",
     "run_t2",
@@ -122,7 +123,8 @@ def build_net(name, dim, hidden_size=8, dropout_rate=0.2, l2_coeff=1e-3):
     raise ValueError(f"unknown model {name!r}")
 
 
-def _fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
+def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
+    """Fit model `name` at level theta, over the lr grid when `use_lr_grid`."""
     spec = parse_model_name(name)
 
     def factory():
@@ -261,7 +263,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
             for theta in THETA_GRID:
                 truth = test.true_quantiles[theta]
                 for model in _t2_models():
-                    result = _fit_model(model, train, val, cfg, theta)
+                    result = fit_model(model, train, val, cfg, theta)
                     preds = result.predict(test.X)
                     for subset in metrics.SUBSETS:
                         rep_report = metrics.subset_report(
@@ -379,8 +381,8 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             tob_model = tobit.TobitModel.from_fit(tob_fit, side=train.side)
             tob_lo = tobit.tobit_quantiles(tob_model, test.X, INTERVAL_PAIR[0])
             tob_hi = tobit.tobit_quantiles(tob_model, test.X, INTERVAL_PAIR[1])
-            cqr_lo = _fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[0]).predict(test.X)
-            cqr_hi = _fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[1]).predict(test.X)
+            cqr_lo = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[0]).predict(test.X)
+            cqr_hi = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[1]).predict(test.X)
             for model, (lo, hi) in (("tobit", (tob_lo, tob_hi)), ("c-linear", (cqr_lo, cqr_hi))):
                 for subset in metrics.SUBSETS:
                     rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
@@ -475,7 +477,7 @@ def _t4_cell(task):
     train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
     preds = {}
     for theta in INTERVAL_PAIR:
-        result = _fit_model(
+        result = fit_model(
             model, train, val, cfg, theta,
             init_scheme="standard_normal",
             init_seed=child_seed(master_seed, "t4", "init", alpha, rep, model, theta),
@@ -619,7 +621,7 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     for i in range(n_inits):
                         pair = {}
                         for theta in INTERVAL_PAIR:
-                            result = _fit_model(
+                            result = fit_model(
                                 model, train, val, cfg, theta,
                                 init_scheme="standard_normal",
                                 init_seed=child_seed(master_seed, "bike", "init", gamma, cr, rep, model, i, theta),

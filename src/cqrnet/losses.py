@@ -87,10 +87,6 @@ def _as_1d(name, x, n=None):
 # The underscored kernels below take arguments that were already validated;
 # the training objectives at the end of this module validate once per fit.
 
-def _censored_qr_nll(y, tau, preds, theta):
-    return float(_tilted(y - np.maximum(tau, preds), theta).sum())
-
-
 def censored_qr_nll(y, tau, preds, theta, include_constant=False):
     """Negative log-likelihood of the censored quantile model (summed).
 
@@ -104,7 +100,7 @@ def censored_qr_nll(y, tau, preds, theta, include_constant=False):
         raise ValueError("need at least one observation")
     tau = _as_1d("tau", tau, y.shape[0])
     preds = _as_1d("preds", preds, y.shape[0])
-    total = _censored_qr_nll(y, tau, preds, theta)
+    total = float(_tilted(y - np.maximum(tau, preds), theta).sum())
     if include_constant:
         n = y.shape[0]
         total += -n * math.log(theta) - n * math.log(1.0 - theta)
@@ -126,8 +122,8 @@ def censored_qr_nll_grad(y, tau, preds, theta):
 
 def _check_sigma(sigma) -> float:
     sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return sigma
 
 
@@ -156,9 +152,9 @@ def _tobit_z(y, means, sigma, side):
     return r, z, np.maximum(prob, PROB_FLOOR)
 
 
-def _tobit_nll(censored, z, prob, sigma):
-    dens_ll = normal_log_pdf(z) - math.log(sigma)
-    return float(-np.where(censored, np.log(prob), dens_ll).sum())
+def _tobit_ll_rows(censored, z, prob, sigma):
+    """Per-row log-likelihood: log prob where censored, else log phi(z) - log sigma."""
+    return np.where(censored, np.log(prob), normal_log_pdf(z) - math.log(sigma))
 
 
 def _tobit_grads(censored, r, z, prob, sigma, side, log_sigma=True):
@@ -180,7 +176,7 @@ def tobit_nll(y, censored, means, sigma, side="lower"):
     probability is floored at 1e-300 before the log.
     """
     censored, _, z, prob, sigma, _ = _tobit_args(y, censored, means, sigma, side)
-    return _tobit_nll(censored, z, prob, sigma)
+    return float(-_tobit_ll_rows(censored, z, prob, sigma).sum())
 
 
 def tobit_nll_grad_mean(y, censored, means, sigma, side="lower"):
@@ -194,16 +190,36 @@ def tobit_nll_grad_log_sigma(y, censored, means, sigma, side="lower"):
 
 
 # -- training objectives ------------------------------------------------------
-# One object per loss validates its dataset (and theta) once per fit. Each epoch
-# `value` gives the mean per-point loss; `value_and_grad` gives that value, its
-# gradient w.r.t. the predictions and those of the loss's own parameters.
+# One object per fit validates theta and the training rows followed by the validation
+# rows once. Called on one pass's predictions, it returns the train and val means (each
+# summed over its own slice), dpred for the training rows and its own parameters' grads.
 
-class _QuantileLoss:
-    def __init__(self, ds, theta, net):
+class NonFiniteLossError(RuntimeError):
+    """Training aborted on a non-finite loss; carries the traces so far."""
+
+    def __init__(self, message, train_trace=None, val_trace=None):
+        super().__init__(message)
+        self.train_trace = train_trace or []
+        self.val_trace = val_trace or []
+
+
+class _TrainingLoss:
+    def __init__(self, train, val):
+        self.n, self.n_val = train.n, val.n
+        self.y = np.concatenate([_as_1d("y", train.y, train.n), _as_1d("y", val.y, val.n)])
+
+    def _means(self, per_row):
+        n = self.n
+        return float(per_row[:n].sum()) / n, float(per_row[n:].sum()) / self.n_val
+
+
+class _QuantileLoss(_TrainingLoss):
+    def __init__(self, train, val, theta, net):
+        super().__init__(train, val)
         if theta is None:
             raise ValueError(f"{self.name} loss needs a quantile level")
         self.theta = _check_theta(theta)
-        self.y, self.tau, self.n = _as_1d("y", ds.y), _as_1d("tau", ds.tau, ds.n), ds.n
+        self.tau = _as_1d("tau", np.concatenate([train.tau, val.tau]), self.y.shape[0])
         # -rho'(r) / n on either side of the kink: d(mean loss) / d qhat
         self._dpred_upper, self._dpred_lower = -self.theta / self.n, -(self.theta - 1.0) / self.n
 
@@ -213,13 +229,10 @@ class TiltedLoss(_QuantileLoss):
 
     name = "tilted"
 
-    def value(self, preds) -> float:
-        return float(_tilted(self.y - preds, self.theta).sum()) / self.n
-
-    def value_and_grad(self, preds):
+    def __call__(self, preds):
         r = self.y - preds
-        dpred = np.where(r >= 0.0, self._dpred_upper, self._dpred_lower)
-        return float(_tilted(r, self.theta).sum()) / self.n, dpred, {}
+        dpred = np.where(r[: self.n] >= 0.0, self._dpred_upper, self._dpred_lower)
+        return *self._means(_tilted(r, self.theta)), dpred, {}
 
 
 class CensoredQrLoss(_QuantileLoss):
@@ -227,49 +240,49 @@ class CensoredQrLoss(_QuantileLoss):
 
     name = "censored_nll"
 
-    def __init__(self, ds, theta, net):
-        super().__init__(ds, theta, net)
-        if ds.side != "left":
+    def __init__(self, train, val, theta, net):
+        super().__init__(train, val, theta, net)
+        if train.side != "left" or val.side != "left":
             raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
         if np.any(np.isnan(self.tau)):
             raise ValueError("dataset has unimputed thresholds (NaN tau)")
 
-    def value(self, preds) -> float:
-        return _censored_qr_nll(self.y, self.tau, preds, self.theta) / self.n
-
-    def value_and_grad(self, preds):
+    def __call__(self, preds):
         # where qhat >= tau, max(tau, qhat) == qhat: the clamped residual is
         # y - qhat on every row whose gradient is not zeroed
+        n = self.n
         r = self.y - np.maximum(self.tau, preds)
-        dpred = np.where(preds < self.tau, 0.0, np.where(r >= 0.0, self._dpred_upper, self._dpred_lower))
-        return float(_tilted(r, self.theta).sum()) / self.n, dpred, {}
+        dpred = np.where(preds[:n] < self.tau[:n], 0.0,
+                         np.where(r[:n] >= 0.0, self._dpred_upper, self._dpred_lower))
+        return *self._means(_tilted(r, self.theta)), dpred, {}
 
 
-class TobitLoss:
+class TobitLoss(_TrainingLoss):
     """Mean Tobit NLL, lower for left-censored data and upper for right.
 
-    The scale is the TobitNet's current sigma, checked every epoch; when
-    it is learned, this loss also returns the `log_sigma` gradient.
+    The scale is the TobitNet's current sigma; one not positive and finite
+    (a learned scale that overflowed) raises NonFiniteLossError. A learned
+    scale also gets its `log_sigma` gradient. One Phi call per epoch.
     """
 
-    def __init__(self, ds, theta, net):
-        self.y, self.censored = _check_tobit_data(ds.y, ds.censored)
-        self.n = ds.n
-        self.side = "lower" if ds.side == "left" else "upper"
+    def __init__(self, train, val, theta, net):
+        super().__init__(train, val)
+        self.y, self.censored = _check_tobit_data(self.y, np.concatenate([train.censored, val.censored]))
+        self.side = "lower" if train.side == "left" else "upper"
         self._net = net
         self._learned = "log_sigma" in net.params
 
-    def value(self, preds) -> float:
-        sigma = _check_sigma(self._net.current_sigma())
-        _, z, prob = _tobit_z(self.y, preds, sigma, self.side)
-        return _tobit_nll(self.censored, z, prob, sigma) / self.n
-
-    def value_and_grad(self, preds):
-        sigma = _check_sigma(self._net.current_sigma())
+    def __call__(self, preds):
+        sigma = self._net.current_sigma()
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise NonFiniteLossError(f"Tobit scale sigma = {sigma} is not positive and finite")
+        n = self.n
         r, z, prob = _tobit_z(self.y, preds, sigma, self.side)
-        grad_mean, grad_log_sigma = _tobit_grads(self.censored, r, z, prob, sigma, self.side, self._learned)
-        param_grads = {"log_sigma": np.array([grad_log_sigma / self.n])} if self._learned else {}
-        return _tobit_nll(self.censored, z, prob, sigma) / self.n, grad_mean / self.n, param_grads
+        tr, va = self._means(_tobit_ll_rows(self.censored, z, prob, sigma))
+        grad_mean, grad_log_sigma = _tobit_grads(
+            self.censored[:n], r[:n], z[:n], prob[:n], sigma, self.side, self._learned)
+        param_grads = {"log_sigma": np.array([grad_log_sigma / n])} if self._learned else {}
+        return -tr, -va, grad_mean / n, param_grads
 
 
 TRAINING_LOSSES = {"tilted": TiltedLoss, "censored_nll": CensoredQrLoss, "tobit": TobitLoss}

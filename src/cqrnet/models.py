@@ -19,9 +19,14 @@ Families
   left-censored dataset at level 1 - theta).
 
 All nets share the same contract: `forward(X)` for evaluation,
-`forward_train(X, rng)` to record the state backprop needs, and
+`forward_train(X, rng, n_train)` to record the state backprop needs, and
 `backward(dpred)` returning parameter gradients for the summed upstream
 signal. Gradients include the L2 term where applicable.
+
+One pass serves a training epoch: `forward_train` records and drops out
+only the first `n_train` rows (training rows stacked on validation rows)
+and evaluates the rest as `forward`, the same pass, would. Elementwise work
+runs once; each matmul is split at the boundary (`_matmul_rows`).
 
 The sigmoid is computed as 0.5 + 0.5 * tanh(z / 2): it needs no branch on
 the sign of z, stays finite in both tails and agrees with 1 / (1 + e^-z)
@@ -61,11 +66,21 @@ _ACTIVATIONS = {
     "elu": (_elu, _elu_deriv),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
-    "relu": (
-        lambda z: np.maximum(z, 0.0),
-        lambda z: (z > 0.0).astype(float),
-    ),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
 }
+
+
+def _matmul_rows(A, B, n, out=None):
+    """A @ B, rows [:n] and [n:] of A in separate calls when 0 < n < len(A):
+    BLAS sums in an order set by the row count, so each block keeps the
+    bits of its own call. (`np.dot` writes to `out` faster than matmul.)"""
+    out = np.empty(A.shape[:1] + B.shape[1:]) if out is None else out
+    if 0 < n < A.shape[0]:
+        np.dot(A[:n], B, out=out[:n])
+        np.dot(A[n:], B, out=out[n:])
+    else:
+        np.dot(A, B, out=out)
+    return out
 
 
 class _Net:
@@ -80,14 +95,13 @@ class _Net:
 
     # -- evaluation / training forward ------------------------------------
     def forward(self, X):
-        raise NotImplementedError
+        """Outputs for every row of X; records nothing."""
+        return self._pass(self._check(X), 0)
 
-    def forward_train(self, X, rng=None):
-        # Default: training forward equals evaluation forward, plus cache.
-        raise NotImplementedError
-
-    def backward(self, dpred):
-        raise NotImplementedError
+    def forward_train(self, X, rng=None, n_train=None):
+        """Outputs for every row of X; the first `n_train` (all by default) are recorded."""
+        X = self._check(X)
+        return self._pass(X, X.shape[0] if n_train is None else n_train)
 
     def _check(self, X):
         X = np.asarray(X, dtype=float)
@@ -104,6 +118,15 @@ class _Net:
         return 0.0
 
     # -- housekeeping ------------------------------------------------------
+    def __getstate__(self):
+        # the activation pair is looked up again by name: lambdas do not pickle
+        return {k: v for k, v in vars(self).items() if k not in ("_act", "_act_deriv")}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        if "activation" in state:
+            self._act, self._act_deriv = _ACTIVATIONS[self.activation]
+
     def copy(self):
         import copy as _copy
 
@@ -145,14 +168,13 @@ class LinearQuantileNet(_Net):
         self._act, self._act_deriv = _ACTIVATIONS[activation]
         self.params = {"beta": np.zeros(self.dim)}
 
-    def forward(self, X):
-        X = self._check(X)
-        return self._act(X @ self.params["beta"])
+    # bound on the class itself: perfbench wraps these two by class
+    forward, forward_train = _Net.forward, _Net.forward_train
 
-    def forward_train(self, X, rng=None):
-        X = self._check(X)
-        z = X @ self.params["beta"]
-        self._cache = (X, z)
+    def _pass(self, X, n):
+        z = _matmul_rows(X, self.params["beta"], n)
+        if n:
+            self._cache = (X[:n], z[:n])
         return self._act(z)
 
     def backward(self, dpred):
@@ -185,21 +207,18 @@ class RegularizedLinearNet(LinearQuantileNet):
         self.dropout_rate = float(dropout_rate)
         self.l2_coeff = float(l2_coeff)
 
-    def forward_train(self, X, rng=None, dropout_mask=None):
+    def forward_train(self, X, rng=None, n_train=None, dropout_mask=None):
         X = self._check(X)
+        n = X.shape[0] if n_train is None else n_train
         if dropout_mask is None and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training forward with dropout needs an rng or an explicit mask")
-            keep = rng.random((X.shape[0], self.dim - 1)) >= self.dropout_rate
+            keep = rng.random((n, self.dim - 1)) >= self.dropout_rate
             dropout_mask = keep / (1.0 - self.dropout_rate)
         if dropout_mask is not None:
-            Xd = X.copy()
-            Xd[:, 1:] = Xd[:, 1:] * dropout_mask
-        else:
-            Xd = X
-        z = Xd @ self.params["beta"]
-        self._cache = (Xd, z)
-        return self._act(z)
+            X = X.copy()
+            X[:n, 1:] = X[:n, 1:] * dropout_mask
+        return self._pass(X, n)
 
     def backward(self, dpred):
         grads = super().backward(dpred)
@@ -239,17 +258,12 @@ class StackedUnitNet(_Net):
             "b_out": np.zeros(1),
         }
 
-    def forward(self, X):
-        X = self._check(X)
-        hidden = self._act(X @ self.params["w_hidden"].T)
-        return hidden @ self.params["w_out"] + self.params["b_out"][0]
-
-    def forward_train(self, X, rng=None):
-        X = self._check(X)
-        z1 = X @ self.params["w_hidden"].T
+    def _pass(self, X, n):
+        z1 = _matmul_rows(X, self.params["w_hidden"].T, n)
         hidden = self._act(z1)
-        self._cache = (X, z1, hidden)
-        return hidden @ self.params["w_out"] + self.params["b_out"][0]
+        if n:
+            self._cache = (X[:n], z1[:n], hidden[:n])
+        return _matmul_rows(hidden, self.params["w_out"], n) + self.params["b_out"][0]
 
     def backward(self, dpred):
         X, z1, hidden = self._require_cache()
@@ -295,10 +309,10 @@ class LstmQuantileNet(_Net):
     [w_h^T; w_x; b] of shape (h + 2, 4h), whose columns are scaled by s:
     1/2 for the sigmoid gates, 1 for the candidate. Each gate is then
     s * tanh(s * z) + 1 - s, which is sigmoid(z) for s = 1/2 and tanh(z)
-    for s = 1. `forward` and `forward_train` run the same loop
-    (`_unroll`) over preallocated state arrays; its `record` flag only
-    decides whether they are kept. The cache of a recorded pass over n rows
-    and T lags holds:
+    for s = 1. `forward` and `forward_train` run the same loop (`_pass`)
+    over state arrays for all rows; a training pass keeps their first n
+    rows (the gates as a contiguous copy, which `backward` reads faster).
+    The cache over n rows and T lags holds:
 
     * rows (T + 1, n, h + 2): [h_{t-1}, x_t, 1] for each step; the hidden
       part of the last slot is the final hidden state;
@@ -338,48 +352,41 @@ class LstmQuantileNet(_Net):
     def dim(self):
         return self.lags + (1 if self.intercept_column else 0)
 
-    def _sequence(self, X):
-        X = self._check(X)
+    # bound on the class itself: perfbench wraps these two by class
+    forward, forward_train = _Net.forward, _Net.forward_train
+
+    def _pass(self, X, n):
         lag_cols = X[:, 1:] if self.intercept_column else X
         # lag columns are newest-first; the recurrence runs oldest-first,
-        # so row t of the (T, n) result is step t
-        return lag_cols[:, ::-1].T
-
-    def _unroll(self, X, record):
-        seq = self._sequence(X)
-        steps, n = seq.shape
+        # so row t of the (T, rows) sequence is step t
+        seq = lag_cols[:, ::-1].T
+        steps, n_rows = seq.shape
         hsz = self.hidden_size
         # step t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
         weights = np.vstack([self.params["w_h"].T, self.params["w_x"], self.params["b"]]) * self._gate_scale
-        rows = np.empty((steps + 1, n, hsz + 2))
+        rows = np.empty((steps + 1, n_rows, hsz + 2))
         rows[0, :, :hsz] = 0.0
         rows[:-1, :, hsz] = seq
         rows[:, :, hsz + 1] = 1.0
-        scale = np.broadcast_to(self._gate_scale, (n, 4 * hsz)).copy()
+        scale = np.broadcast_to(self._gate_scale, (n_rows, 4 * hsz)).copy()
         shift = 1.0 - scale
-        gates = np.empty((steps, n, 4 * hsz))
-        cs = np.zeros((steps + 1, n, hsz))
-        tanh_cs = np.empty((steps, n, hsz))
+        gates = np.empty((steps, n_rows, 4 * hsz))
+        cs = np.zeros((steps + 1, n_rows, hsz))
+        tanh_cs = np.empty((steps, n_rows, hsz))
         for row, h, g, c_prev, c, tanh_c in zip(rows, rows[1:, :, :hsz], gates, cs, cs[1:], tanh_cs):
-            np.matmul(row, weights, out=g)
+            _matmul_rows(row, weights, n, out=g)
             np.tanh(g, out=g)
             g *= scale
             g += shift
             np.multiply(g[:, hsz : 2 * hsz], c_prev, out=c)
             c += g[:, :hsz] * g[:, 3 * hsz :]
             np.multiply(g[:, 2 * hsz : 3 * hsz], np.tanh(c, out=tanh_c), out=h)
-        if record:
-            self._cache = (rows, gates, cs, tanh_cs, scale)
-        out = rows[-1, :, :hsz] @ self.params["w_out"]
+        if n:
+            self._cache = (rows[:, :n], np.ascontiguousarray(gates[:, :n]), cs[:, :n], tanh_cs[:, :n], scale[:n])
+        out = _matmul_rows(rows[-1, :, :hsz], self.params["w_out"], n)
         if self.output_bias:
-            out = out + self.params["b_out"][0]
+            out += self.params["b_out"][0]
         return out
-
-    def forward(self, X):
-        return self._unroll(X, record=False)
-
-    def forward_train(self, X, rng=None):
-        return self._unroll(X, record=True)
 
     def backward(self, dpred):
         rows, gates, cs, tanh_cs, scale = self._require_cache()
@@ -393,7 +400,7 @@ class LstmQuantileNet(_Net):
         # g(1 - g) for the sigmoid gates, (1 + g)(1 - g) for the candidate
         dgates = (gates - (1.0 - 2.0 * scale)) * (1.0 - gates)
         dtanh = go * (1.0 - tanh_cs**2)
-        dz_all = np.empty_like(gates)
+        dz_all = np.empty(gates.shape)
         w_h = self.params["w_h"]
         dh = d[:, None] * self.params["w_out"][None, :]
         dc = np.zeros_like(dh)
@@ -436,7 +443,6 @@ class MirrorWrapper(_Net):
     param_order = ()
 
     def __init__(self, inner, intercept_column=True):
-        super().__init__()
         self.inner = inner
         self.intercept_column = bool(intercept_column)
 
@@ -444,17 +450,10 @@ class MirrorWrapper(_Net):
     def params(self):
         return self.inner.params
 
-    @params.setter
-    def params(self, value):
-        # _Net.__init__ assigns an empty dict before `inner` exists; ignore it.
-        if hasattr(self, "inner"):
-            self.inner.params = value
-
     def mirror_inputs(self, X):
         X = np.asarray(X, dtype=float)
         Xm = -X
         if self.intercept_column:
-            Xm = Xm.copy()
             Xm[:, 0] = X[:, 0]
         return Xm
 

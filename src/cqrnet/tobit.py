@@ -30,8 +30,8 @@ class TobitNet(LinearQuantileNet):
 
     def __init__(self, dim, sigma=1.0, estimate_sigma=False):
         super().__init__(dim, activation="identity")
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not (np.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         self.sigma = float(sigma)
         self.estimate_sigma = bool(estimate_sigma)
         if estimate_sigma:
@@ -43,9 +43,8 @@ class TobitNet(LinearQuantileNet):
             return float(np.exp(self.params["log_sigma"][0]))
         return self.sigma
 
-    def backward(self, dpred):
-        """Mean weights only; a learned log-sigma's gradient is the likelihood's (`losses.TobitLoss`)."""
-        return super().backward(dpred)
+    # bound here for perfbench; a learned log_sigma's gradient comes from losses.TobitLoss
+    backward = LinearQuantileNet.backward
 
     def config(self):
         return {"dim": self.dim, "sigma": self.sigma, "estimate_sigma": self.estimate_sigma}

@@ -8,13 +8,14 @@ the Adam moment updates. Training stops once the validation loss has not
 improved for `patience` consecutive epochs, and the parameters from the
 best validation epoch are returned.
 
-An epoch makes one `value_and_grad` call of the training loss: its value,
-its gradient w.r.t. the predictions and those of the loss's own parameters
-(a learned Tobit scale). The parameters live in one flat vector, each
-`net.params[k]` a view of it, so clipping, the Adam step and the
-best-epoch snapshot each act on one array. The clip norm adds the
-per-parameter sums of squares in the order `backward` returns the
-gradients, which keeps seeded traces stable to the bit.
+An epoch is one `net.forward_train(X, rng, train.n)` over the training
+rows stacked on the validation rows, then one call of the fit's loss
+object: both means, dpred and the loss's own parameter gradients (a
+learned Tobit scale). The parameters live in one flat vector, each
+`net.params[k]` a view of it, so clipping, the Adam step (in Python floats
+for a few parameters) and the best-epoch snapshot each act on one array.
+Every step keeps the arithmetic of separate per-set calls and per-key
+sums, so seeded traces stay the same to the bit.
 
 Right-censored data must go through the mirror route: `fit_quantile`
 negates the dataset, fits the inner net at level 1 - theta, and returns
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
+from .losses import NonFiniteLossError
 from .models import MirrorWrapper
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "fit",
     "fit_quantile",
     "fit_with_lr_grid",
-    "mirror_fit_predict",
     "train_mean_ratio",
     "impute_thresholds",
     "InitCandidate",
@@ -97,30 +98,7 @@ class FitResult:
         return self.net.forward(X)
 
     def to_json_dict(self) -> dict:
-        return {
-            "net": self.net.to_dict(),
-            "loss_kind": self.loss_kind,
-            "theta": self.theta,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "best_epoch": self.best_epoch,
-            "stopping_epoch": self.stopping_epoch,
-            "hit_max_epochs": self.hit_max_epochs,
-            "wall_time": self.wall_time,
-            "mirrored": self.mirrored,
-            "train_trace": self.train_trace,
-            "val_trace": self.val_trace,
-            "diagnostics": self.diagnostics,
-        }
-
-
-class NonFiniteLossError(RuntimeError):
-    """Training aborted on a non-finite loss; carries the traces so far."""
-
-    def __init__(self, message, train_trace=None, val_trace=None):
-        super().__init__(message)
-        self.train_trace = train_trace or []
-        self.val_trace = val_trace or []
+        return {**vars(self), "net": self.net.to_dict()}
 
 
 class AllFitsDivergedError(RuntimeError):
@@ -163,6 +141,22 @@ def _adam_step(flat, grad, m, v, t, cfg: TrainConfig):
     flat -= step
 
 
+# Largest vector for `_adam_step_scalar`: the numpy form breaks even at about 24.
+_SCALAR_ADAM_MAX = 16
+
+
+def _adam_step_scalar(flat, grad, m, v, t, cfg: TrainConfig):
+    """`_adam_step` in Python floats, bit for bit, with m and v lists."""
+    b1, b2, rate, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    steps = []
+    for i, g in enumerate(grad.tolist()):
+        m[i] = m[i] * b1 + (1.0 - b1) * g
+        v[i] = v[i] * b2 + (1.0 - b2) * g * g
+        steps.append(m[i] / c1 * rate / (math.sqrt(v[i] / c2) + eps))
+    flat -= steps
+
+
 def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     """Adam-fit `net` on `train`, early-stopping on `val`.
 
@@ -174,14 +168,17 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         raise ValueError("train and val must be nonempty")
     if loss_kind not in losses.TRAINING_LOSSES:
         raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
-    train_loss = losses.TRAINING_LOSSES[loss_kind](train, theta, net)
-    val_loss = losses.TRAINING_LOSSES[loss_kind](val, theta, net)
+    loss = losses.TRAINING_LOSSES[loss_kind](train, val, theta, net)
+    X = np.concatenate([train.X, val.X], dtype=float)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
 
     flat, slices = _flatten_params(net)
     best_flat = flat.copy()
-    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    if flat.size <= _SCALAR_ADAM_MAX:
+        adam_step, m, v = _adam_step_scalar, [0.0] * flat.size, [0.0] * flat.size
+    else:
+        adam_step, m, v = _adam_step, np.zeros_like(flat), np.zeros_like(flat)
     train_trace, val_trace = [], []
     best = math.inf
     best_epoch = 0
@@ -189,10 +186,11 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     steps = clipped = 0
     epoch = 0
     for epoch in range(cfg.max_epochs):
-        preds = net.forward_train(train.X, rng)
-        tr, dpred, loss_grads = train_loss.value_and_grad(preds)
+        try:
+            tr, va, dpred, loss_grads = loss(net.forward_train(X, rng, train.n))
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError(f"{exc} at epoch {epoch}", train_trace, val_trace) from None
         tr += net.l2_penalty()
-        va = val_loss.value(net.forward(val.X))
         if not (math.isfinite(tr) and math.isfinite(va)):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {epoch} (train={tr}, val={va})", train_trace, val_trace
@@ -208,14 +206,15 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
             break
         grads = net.backward(dpred)
         grads.update(loss_grads)
-        grad = np.concatenate([grads[k] for k in slices], axis=None)
+        grad = (next(iter(grads.values())).ravel() if len(grads) == 1
+                else np.concatenate([grads[k] for k in slices], axis=None))
         grad_sq = grad * grad
         norm = math.sqrt(sum(float(grad_sq[slices[k]].sum()) for k in grads))
         if norm > cfg.clip_norm:
             grad *= cfg.clip_norm / norm
             clipped += 1
         steps += 1
-        _adam_step(flat, grad, m, v, steps, cfg)
+        adam_step(flat, grad, m, v, steps, cfg)
 
     fitted = net.copy()
     fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
@@ -250,14 +249,6 @@ def fit_quantile(net, loss_kind, train, val, cfg, theta) -> FitResult:
         result.mirrored = True
         return result
     return fit(net, loss_kind, train, val, cfg, theta=theta)
-
-
-def mirror_fit_predict(net, train, val, theta, cfg, X) -> np.ndarray:
-    """Fit on right-censored data through the mirror and predict at X."""
-    if train.side != "right":
-        raise ValueError("mirror fitting applies to right-censored data only")
-    result = fit_quantile(net, "censored_nll", train, val, cfg, theta)
-    return result.net.forward(X)
 
 
 def fit_with_lr_grid(net_factory, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:

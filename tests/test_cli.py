@@ -108,6 +108,29 @@ def test_fit_evaluate_pipeline(tmp_path):
                 assert doc[key] is None
 
 
+def test_fit_reads_dataset_once_and_jobs_agree(tmp_path, monkeypatch):
+    from cqrnet import datagen
+
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--censor", "partial", "--n-days", 150, "--seed", 3, "--out-dir", data_dir]) == 0
+    data = data_dir / "censored-partial.csv"
+    loads = []
+    load = datagen.load_dataset_csv
+    monkeypatch.setattr(datagen, "load_dataset_csv", lambda *a, **k: loads.append(a) or load(*a, **k))
+    docs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"fits-{jobs}"
+        assert run(["fit", "--data", data, "--models", "tl-linear,c-linear,tobit", "--thetas", "0.05,0.95",
+                    "--max-epochs", 40, "--seed", 3, "--jobs", jobs, "--out-dir", out]) == 0
+        docs[jobs] = {}
+        for path in sorted(out.glob("fit-*-theta*.json")):
+            doc = json.loads(path.read_text())
+            doc.pop("wall_time")
+            docs[jobs][path.name] = doc
+    assert len(loads) == 2  # once per command, not once per cell
+    assert len(docs[1]) == 6 and docs[1] == docs[2]
+
+
 def test_fit_rejects_tampered_dataset_csv(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "heteroskedastic", "--n", 300,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cqrnet.losses import (
     censored_qr_nll,
@@ -46,10 +46,14 @@ def test_theta_domain_errors():
 
 
 @given(finite_reals, thetas)
+@example(r=5e-324, theta=0.5)
 def test_tilted_nonnegative_zero_iff_zero(r, theta):
     val = tilted_loss(r, theta)
     assert val >= 0.0
-    assert (val == 0.0) == (r == 0.0)
+    # zero iff r == 0, or the product on the active side underflows to (-)0,
+    # as 0.5 * 5e-324 does
+    active = theta * r if r >= 0.0 else (theta - 1.0) * r
+    assert (val == 0.0) == (r == 0.0 or active == 0.0)
 
 
 @given(finite_reals)
@@ -155,10 +159,10 @@ def test_tobit_examples():
 def test_tobit_domain_errors():
     y = np.array([1.0])
     c = np.array([False])
-    with pytest.raises(ValueError):
-        tobit_nll(y, c, y, 0.0)
-    with pytest.raises(ValueError):
-        tobit_nll(y, c, y, -1.0)
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        for fn in (tobit_nll, tobit_nll_grad_mean, tobit_nll_grad_log_sigma):
+            with pytest.raises(ValueError, match="sigma"):
+                fn(y, c, y, sigma)
     with pytest.raises(ValueError):
         tobit_nll(y, c, y, 1.0, side="sideways")
 
@@ -214,3 +218,4 @@ def test_tobit_log_sigma_gradient_matches_fd(side):
             - tobit_nll(y, cens, mu, math.exp(log_sigma - h), side)
         ) / (2 * h)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
+

@@ -15,7 +15,7 @@ from cqrnet.models import (
     init_weights,
     net_from_dict,
 )
-
+from cqrnet.tobit import TobitNet
 
 from gradcheck import fd_check
 
@@ -141,6 +141,48 @@ def test_lstm_forward_equals_forward_train_exactly():
     net = init_weights(LstmQuantileNet(lags=7, hidden_size=8), "standard_normal", seed=5)
     X = np.column_stack([np.ones(60), 2.0 * rng.normal(size=(60, 7))])
     assert np.array_equal(net.forward(X), net.forward_train(X))
+
+
+# Eight inputs and eight hidden units: at these widths one matrix-vector
+# product over stacked rows changes the last bit of most outputs.
+ONE_PASS_NETS = {
+    "linear-identity": lambda: LinearQuantileNet(8),
+    "linear-elu": lambda: LinearQuantileNet(8, activation="elu"),
+    "reg-linear-dropout": lambda: RegularizedLinearNet(8, "elu", dropout_rate=0.3, l2_coeff=1e-2),
+    **{f"stacked-{act}": (lambda act=act: StackedUnitNet(8, units=8, activation=act, l2_coeff=1e-3))
+       for act in ("tanh", "sigmoid", "elu", "relu")},
+    "lstm": lambda: LstmQuantileNet(lags=7, hidden_size=8),
+    "lstm-no-output-bias": lambda: LstmQuantileNet(lags=7, hidden_size=8, output_bias=False),
+    "lstm-no-intercept": lambda: LstmQuantileNet(lags=8, hidden_size=8, intercept_column=False),
+    "tobit-fixed-sigma": lambda: TobitNet(8, sigma=1.5),
+    "tobit-learned-sigma": lambda: TobitNet(8, estimate_sigma=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PASS_NETS))
+@pytest.mark.parametrize("n_a, n_b", [(57, 23), (116, 58), (620, 150)])
+def test_one_pass_forward_equals_separate_calls(case, n_a, n_b):
+    """forward_train over [A; B] with n_train = len(A) gives, bit for bit,
+    forward_train(A) then forward(B): outputs, gradients and rng state."""
+    net = init_weights(ONE_PASS_NETS[case](), "standard_normal", seed=n_a)
+    rng = np.random.default_rng(n_b)
+    X = 1.0 + np.abs(rng.normal(size=(n_a + n_b, net.dim)))
+    if not isinstance(net, LstmQuantileNet) or net.intercept_column:
+        X[:, 0] = 1.0
+    A, B = X[:n_a].copy(), X[n_a:].copy()
+    dpred = rng.normal(size=n_a)
+    separate_rng, one_pass_rng = np.random.default_rng(7), np.random.default_rng(7)
+
+    want = np.concatenate([net.forward_train(A, separate_rng), net.forward(B)])
+    want_grads = net.backward(dpred)
+    got = net.forward_train(np.vstack([A, B]), one_pass_rng, n_a)
+    got_grads = net.backward(dpred)
+
+    assert np.array_equal(got, want)
+    assert list(got_grads) == list(want_grads)
+    for k, g in want_grads.items():
+        assert np.array_equal(got_grads[k], g), k
+    assert one_pass_rng.bit_generator.state == separate_rng.bit_generator.state
 
 
 def test_sigmoid_tails_and_accuracy():

@@ -47,8 +47,9 @@ def test_validation():
         TobitModel(beta=[1.0], sigma=0.0)
     with pytest.raises(ValueError):
         TobitModel(beta=[1.0], sigma=1.0, side="up")
-    with pytest.raises(ValueError):
-        TobitNet(3, sigma=-1.0)
+    for sigma in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            TobitNet(3, sigma=sigma)
 
 
 def test_fit_without_censoring_matches_least_squares():
@@ -114,12 +115,23 @@ def test_from_fit_and_sides():
 def test_cqr_widths_vary_on_heteroskedastic_benchmark():
     """Unlike Tobit's covariate-independent interval, the censored-QR pair
     learns per-row widths on heteroskedastic data."""
-    from cqrnet.experiments import _fit_model
+    from cqrnet.experiments import fit_model
 
     ds = gen_synthetic(SyntheticSpec("heteroskedastic", 1000, 11))
     train, val, test = split(ds, seed=12)
     cfg = TrainConfig(learning_rate=0.01)
-    lo = _fit_model("c-linear", train, val, cfg, 0.05).predict(test.X)
-    hi = _fit_model("c-linear", train, val, cfg, 0.95).predict(test.X)
+    lo = fit_model("c-linear", train, val, cfg, 0.05).predict(test.X)
+    hi = fit_model("c-linear", train, val, cfg, 0.95).predict(test.X)
     widths = hi - lo
     assert np.var(widths) > 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_learned_scale_that_leaves_the_reals_is_a_non_finite_loss():
+    from cqrnet.training import NonFiniteLossError
+
+    train, val = uncensored_dataset([0.5, 1.0], 60, 1), uncensored_dataset([0.5, 1.0], 30, 2)
+    with pytest.raises(NonFiniteLossError, match="scale") as err:
+        tobit_fit(train, val, TrainConfig(learning_rate=1e308), estimate_sigma=True)
+    assert "at epoch 1" in str(err.value)
+    assert len(err.value.train_trace) == len(err.value.val_trace) == 1

@@ -10,18 +10,18 @@ from cqrnet.datagen import (
     gen_synthetic,
     split,
 )
-from cqrnet.models import LinearQuantileNet, MirrorWrapper, init_weights
+from cqrnet.models import LinearQuantileNet, MirrorWrapper, RegularizedLinearNet, init_weights
 from cqrnet.training import (
     AllFitsDivergedError,
     InitCandidate,
     NonFiniteLossError,
     TrainConfig,
     _adam_step,
+    _adam_step_scalar,
     fit,
     fit_quantile,
     fit_with_lr_grid,
     impute_thresholds,
-    mirror_fit_predict,
     select_initialization,
     train_mean_ratio,
 )
@@ -39,6 +39,21 @@ def test_adam_zero_gradient_is_noop():
     m, v = np.zeros(2), np.zeros(2)
     _adam_step(flat, np.zeros(2), m, v, 1, TrainConfig())
     assert np.array_equal(flat, np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_scalar_adam_step_equals_numpy_step(size):
+    rng = np.random.default_rng(size)
+    cfg = TrainConfig(learning_rate=0.03)
+    flat = rng.normal(size=size)
+    want, m, v = flat.copy(), np.zeros(size), np.zeros(size)
+    got, m_list, v_list = flat.copy(), [0.0] * size, [0.0] * size
+    for t in range(1, 500):
+        grad = rng.normal(size=size) * 10.0 ** rng.integers(-9, 4)
+        _adam_step(want, grad, m, v, t, cfg)
+        _adam_step_scalar(got, grad, m_list, v_list, t, cfg)
+        assert np.array_equal(got, want), t
+    assert m.tolist() == m_list and v.tolist() == v_list
 
 
 def test_config_validation():
@@ -147,6 +162,49 @@ def test_lr_grid_selection():
     assert picked.best_val_loss <= direct.best_val_loss + 1e-12
 
 
+@pytest.mark.parametrize("max_epochs", [5, 400])
+def test_fit_calls_forward_train_once_per_epoch_first(max_epochs):
+    """Each epoch opens with one forward_train call and makes no forward
+    call; the benchmark's epoch clock relies on it."""
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 21))
+    train, val, _ = split(ds, seed=22)
+    net = init_weights(RegularizedLinearNet(3, "elu"), "ones")
+    calls = []
+
+    def recorded(name, method):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return call
+
+    for name in ("forward", "forward_train", "backward"):
+        setattr(net, name, recorded(name, getattr(net, name)))
+    result = fit(net, "censored_nll", train, val, TrainConfig(learning_rate=0.05, max_epochs=max_epochs), 0.5)
+    expected = ["forward_train", "backward"] * (result.stopping_epoch + 1)
+    if result.diagnostics["stop_reason"] == "patience":
+        expected.pop()  # the stopping epoch ends before backward
+    assert result.diagnostics["stop_reason"] == ("max_epochs" if max_epochs == 5 else "patience")
+    assert calls == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lr_grid_calls_fit_once_per_rate(monkeypatch):
+    import cqrnet.training as training
+
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 200, 23))
+    train, val, _ = split(ds, seed=24)
+    rates = []
+
+    def counting_fit(net, loss_kind, train, val, cfg, theta=None, _fit=training.fit):
+        rates.append(cfg.learning_rate)
+        return _fit(net, loss_kind, train, val, cfg, theta)
+
+    monkeypatch.setattr(training, "fit", counting_fit)
+    fit_with_lr_grid(lambda: init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
+                     TrainConfig(lr_grid=(1.0, 0.01, 1e308, 0.1), max_epochs=200), theta=0.5)
+    assert rates == [0.01, 0.1, 1.0, 1e308]
+
+
 def test_lr_grid_all_diverged():
     ds = linear_dataset([1.0, 1.0], n=20, seed=4)
     ds.y[0] = np.nan
@@ -174,13 +232,6 @@ def test_mirror_fit_matches_direct_fit_on_negated_benchmark():
     got = mirrored.net.forward(test.mirrored().X)
     want = -direct.net.forward(test.X)
     assert np.max(np.abs(got - want)) < 1e-6
-
-
-def test_mirror_fit_predict_requires_right_censored():
-    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 50, 17))
-    net = init_weights(LinearQuantileNet(3), "ones")
-    with pytest.raises(ValueError):
-        mirror_fit_predict(net, ds, ds, 0.95, TrainConfig(), ds.X)
 
 
 # -- threshold imputation ----------------------------------------------------
@@ -300,7 +351,7 @@ def test_unaware_val_icp_worse_under_heavy_partial_censoring():
     """gamma=0.9: the censorship-unaware tilted fit's validation ICP sits
     farther from 0.9 than the censored fit's, on the bundled series."""
     from cqrnet.datagen import build_lagged_dataset, bundled_daily_series
-    from cqrnet.experiments import _fit_model, _range_slices, child_seed
+    from cqrnet.experiments import fit_model, _range_slices, child_seed
     from cqrnet.metrics import interval_metrics
 
     series = bundled_daily_series(730, seed=child_seed(0, "bike", "series"))
@@ -314,7 +365,7 @@ def test_unaware_val_icp_worse_under_heavy_partial_censoring():
         for model in dists:
             preds = {}
             for theta in (0.05, 0.95):
-                r = _fit_model(model, train, val, TrainConfig(), theta,
+                r = fit_model(model, train, val, TrainConfig(), theta,
                                init_scheme="standard_normal",
                                init_seed=child_seed(0, "inv", rep, model, theta),
                                use_lr_grid=True)
