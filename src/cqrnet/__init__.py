@@ -40,9 +40,11 @@ from .models import (
     MirrorWrapper,
     RegularizedLinearNet,
     StackedUnitNet,
+    TobitNet,
     init_weights,
+    net_from_dict,
 )
-from .tobit import TobitModel, tobit_fit, tobit_quantiles
+from .tobit import tobit_fit
 from .training import (
     FitResult,
     TrainConfig,

@@ -17,19 +17,13 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, datagen, metrics, tobit
-from .experiments import MODEL_NAMES, TABLES, child_seed, fit_model, parse_model_name
-from .models import net_from_dict
-from .training import (
-    TrainConfig,
-    impute_thresholds,
-    train_mean_ratio,
-    write_trace_csv,
-)
+from . import __version__, datagen, metrics
+from .experiments import MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name
+from .models import TobitNet, net_from_dict
+from .training import TrainConfig, impute_thresholds, train_mean_ratio
 
 INTERVAL_LOW, INTERVAL_HIGH = 0.05, 0.95
 
@@ -157,17 +151,17 @@ def _prepare_for_fit(ds, seed):
     return train, val, test
 
 
+def _split_digest(test) -> str:
+    """SHA-256 of the test rows' X and y bytes: which rows `evaluate` may score."""
+    return hashlib.sha256(test.X.tobytes() + test.y.tobytes()).hexdigest()
+
+
 def _fit_cell(task):
     """One (model, theta) cell; module-level so worker processes can run it."""
     (model, theta, train, val, fit_seed, cfg_kwargs, use_grid, init_scheme, init_seed) = task
     cfg = TrainConfig(seed=fit_seed, **cfg_kwargs)
-    if model == "tobit":
-        result = tobit.tobit_fit(train, val, cfg, init_scheme=init_scheme, init_seed=init_seed)
-        result.theta = theta
-    else:
-        result = fit_model(model, train, val, cfg, theta,
-                           init_scheme=init_scheme, init_seed=init_seed, use_lr_grid=use_grid)
-    return model, theta, result
+    return model, theta, fit_model(model, train, val, cfg, theta,
+                                   init_scheme=init_scheme, init_seed=init_seed, use_lr_grid=use_grid)
 
 
 def cmd_fit(args, parser):
@@ -175,18 +169,16 @@ def cmd_fit(args, parser):
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     unknown = []
     for m in models:
-        if m == "tobit":
-            continue
         try:
             parse_model_name(m)
         except ValueError:
             unknown.append(m)
     if unknown:
-        parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)}, "
-                     f"c-stacked-<act>-<units>, or tobit)")
+        parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)} or c-stacked-<act>-<units>)")
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
     ds, _ = _load_dataset_with_manifest(args.data)
-    train, val, _ = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
+    train, val, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
+    split_keys = {"master_seed": args.seed, "test_split_sha256": _split_digest(test)}
 
     cfg_kwargs = {}
     if args.learning_rate is not None:
@@ -197,34 +189,29 @@ def cmd_fit(args, parser):
         cfg_kwargs["max_epochs"] = args.max_epochs
     use_grid = args.learning_rate is None and not args.no_lr_grid
 
-    tasks, outputs, skipped = [], [], 0
+    tasks, skipped = [], 0
     for model in models:
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
                 skipped += 1
                 continue
+            # Tobit cells keep the fixed rate: the grid would fit each of them four times
             tasks.append((model, theta, train, val,
                           child_seed(args.seed, "fit", model, theta),
-                          cfg_kwargs, use_grid, args.init,
+                          cfg_kwargs, use_grid and model != "tobit", args.init,
                           child_seed(args.seed, "fit", "init", model, theta)))
 
-    def handle(model, theta, result):
+    outputs = []
+    for model, theta, result in _map_tasks(_fit_cell, tasks, args.jobs):
         cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
-        _write_json(cell_path, result.to_json_dict())
+        _write_json(cell_path, {**result.to_json_dict(), **split_keys})
         outputs.append(cell_path)
         if args.dump_traces:
             trace_path = os.path.join(args.out_dir, f"trace-{model}-theta{theta:g}.csv")
-            write_trace_csv(result, trace_path)
+            rows = [[e, repr(tr), repr(va)] for e, (tr, va) in enumerate(zip(result.train_trace, result.val_trace))]
+            _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
             outputs.append(trace_path)
-
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for model, theta, result in pool.map(_fit_cell, tasks):
-                handle(model, theta, result)
-    else:
-        for task in tasks:
-            handle(*_fit_cell(task))
 
     config = {"data": args.data, "models": models, "thetas": thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
@@ -238,19 +225,18 @@ def cmd_fit(args, parser):
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _predict_cell(doc, model, test):
-    if model == "tobit":
-        beta = np.asarray(doc["net"]["params"]["beta"], dtype=float)
-        sigma = doc["net"]["config"].get("sigma", 1.0)
-        tm = tobit.TobitModel(beta, sigma=sigma, side=test.side)
-        return tobit.tobit_quantiles(tm, test.X, float(doc["theta"]))
-    return net_from_dict(doc["net"]).forward(test.X)
+def _predict_cell(doc, test):
+    net = net_from_dict(doc["net"])
+    if isinstance(net, TobitNet):
+        return net.quantile(test.X, float(doc["theta"]))
+    return net.forward(test.X)
 
 
 def cmd_evaluate(args, parser):
     os.makedirs(args.out_dir, exist_ok=True)
     ds, noise = _load_dataset_with_manifest(args.data)
     _, _, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
+    digest = _split_digest(test)
 
     fits = {}
     for name in sorted(os.listdir(args.fits)):
@@ -258,6 +244,11 @@ def cmd_evaluate(args, parser):
             continue
         with open(os.path.join(args.fits, name)) as fh:
             doc = json.load(fh)
+        if doc.get("test_split_sha256") != digest:
+            raise ValueError(
+                f"{name} was fitted on another split than the test rows that evaluate --seed {args.seed} "
+                f"holds out of {args.data} (fit --seed {doc.get('master_seed', 'not recorded')}); "
+                f"evaluate with the seed the fit used")
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
         fits[(model, float(doc["theta"]))] = doc
     if not fits:
@@ -270,7 +261,7 @@ def cmd_evaluate(args, parser):
         for theta in thetas:
             if noise is None:
                 continue  # no analytic ground truth for series data
-            preds = _predict_cell(fits[(model, theta)], model, test)
+            preds = _predict_cell(fits[(model, theta)], test)
             truth = datagen.latent_quantile(noise, theta, test.X, mixture_compat=args.mixture_compat)
             for subset in subsets:
                 rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truth)
@@ -279,8 +270,8 @@ def cmd_evaluate(args, parser):
                              "" if rp.r2 is None else repr(rp.r2),
                              repr(rp.mae), repr(rp.rmse), "", ""])
         if {INTERVAL_LOW, INTERVAL_HIGH} <= set(thetas):
-            lo = _predict_cell(fits[(model, INTERVAL_LOW)], model, test)
-            hi = _predict_cell(fits[(model, INTERVAL_HIGH)], model, test)
+            lo = _predict_cell(fits[(model, INTERVAL_LOW)], test)
+            hi = _predict_cell(fits[(model, INTERVAL_HIGH)], test)
             for subset in subsets:
                 rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
                 reports[(model, "interval", subset)] = rp

@@ -29,6 +29,7 @@ __all__ = [
     "NOISES",
     "SyntheticSpec",
     "CensoredDataset",
+    "mirror_covariates",
     "CensoredSeries",
     "TripTable",
     "gen_synthetic",
@@ -128,10 +129,8 @@ class CensoredDataset:
     def mirrored(self) -> "CensoredDataset":
         """Negated view: right-censored data becomes left-censored (and
         vice versa); quantile levels map to their mirrors 1 - theta."""
-        Xm = -self.X
-        Xm[:, 0] = self.X[:, 0]
         return CensoredDataset(
-            X=Xm,
+            X=mirror_covariates(self.X),
             y=-self.y,
             tau=-self.tau,
             censored=self.censored.copy(),
@@ -139,6 +138,15 @@ class CensoredDataset:
             y_star=None if self.y_star is None else -self.y_star,
             true_quantiles={1.0 - t: -v for t, v in self.true_quantiles.items()},
         )
+
+
+def mirror_covariates(X):
+    """-X with column 0, the intercept slot, kept: the covariates of the
+    mirrored dataset, and the inputs a MirrorWrapper passes its inner net."""
+    X = np.asarray(X, dtype=float)
+    Xm = -X
+    Xm[:, 0] = X[:, 0]
+    return Xm
 
 
 @dataclass

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .models import (
     LstmQuantileNet,
     RegularizedLinearNet,
     StackedUnitNet,
+    TobitNet,
     init_weights,
 )
 from .training import (
@@ -80,15 +83,16 @@ def child_seed(master_seed, *path) -> int:
 @dataclass(frozen=True)
 class _ModelSpec:
     loss_kind: str
-    family: str
+    build: Callable  # dim -> an untrained net for covariate rows of width dim
 
 
 MODEL_NAMES = {
-    "tl-linear": _ModelSpec("tilted", "linear"),
-    "c-linear": _ModelSpec("censored_nll", "linear"),
-    "c-elu": _ModelSpec("censored_nll", "elu"),
-    "c-reg-linear": _ModelSpec("censored_nll", "reg_linear"),
-    "c-lstm": _ModelSpec("censored_nll", "lstm"),
+    "tl-linear": _ModelSpec("tilted", LinearQuantileNet),
+    "c-linear": _ModelSpec("censored_nll", LinearQuantileNet),
+    "c-elu": _ModelSpec("censored_nll", partial(LinearQuantileNet, activation="elu")),
+    "c-reg-linear": _ModelSpec("censored_nll", partial(RegularizedLinearNet, dropout_rate=0.2, l2_coeff=1e-3)),
+    "c-lstm": _ModelSpec("censored_nll", lambda dim: LstmQuantileNet(lags=dim - 1, hidden_size=8)),
+    "tobit": _ModelSpec("tobit", TobitNet),
 }
 
 # Stacked-unit hidden layers (tanh/sigmoid/elu/relu, 1 or 10 units) share the
@@ -97,30 +101,18 @@ MODEL_NAMES = {
 _STACKED_PREFIX = "c-stacked-"
 
 
-def parse_model_name(name):
+def parse_model_name(name) -> _ModelSpec:
     if name in MODEL_NAMES:
         return MODEL_NAMES[name]
     if name.startswith(_STACKED_PREFIX):
         activation, _, units = name[len(_STACKED_PREFIX):].rpartition("-")
         if activation in ("tanh", "sigmoid", "elu", "relu") and units.isdigit():
-            return _ModelSpec("censored_nll", f"stacked:{activation}:{units}")
+            return _ModelSpec("censored_nll", partial(StackedUnitNet, units=int(units), activation=activation))
     raise ValueError(f"unknown model {name!r}")
 
 
-def build_net(name, dim, hidden_size=8, dropout_rate=0.2, l2_coeff=1e-3):
-    spec = parse_model_name(name)
-    if spec.family == "linear":
-        return LinearQuantileNet(dim)
-    if spec.family == "elu":
-        return LinearQuantileNet(dim, activation="elu")
-    if spec.family == "reg_linear":
-        return RegularizedLinearNet(dim, dropout_rate=dropout_rate, l2_coeff=l2_coeff)
-    if spec.family == "lstm":
-        return LstmQuantileNet(lags=dim - 1, hidden_size=hidden_size)
-    if spec.family.startswith("stacked:"):
-        _, activation, units = spec.family.split(":")
-        return StackedUnitNet(dim, units=int(units), activation=activation)
-    raise ValueError(f"unknown model {name!r}")
+def build_net(name, dim):
+    return parse_model_name(name).build(dim)
 
 
 def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
@@ -128,8 +120,7 @@ def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, 
     spec = parse_model_name(name)
 
     def factory():
-        net = build_net(name, train.X.shape[1])
-        return init_weights(net, init_scheme, seed=init_seed)
+        return init_weights(spec.build(train.X.shape[1]), init_scheme, seed=init_seed)
 
     if use_lr_grid:
         return fit_with_lr_grid(factory, spec.loss_kind, train, val, cfg, theta=theta)
@@ -377,10 +368,8 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             train, val, test = datagen.split(
                 ds, seed=child_seed(master_seed, "t3", noise, "split", rep)
             )
-            tob_fit = tobit.tobit_fit(train, val, cfg)
-            tob_model = tobit.TobitModel.from_fit(tob_fit, side=train.side)
-            tob_lo = tobit.tobit_quantiles(tob_model, test.X, INTERVAL_PAIR[0])
-            tob_hi = tobit.tobit_quantiles(tob_model, test.X, INTERVAL_PAIR[1])
+            tob_net = tobit.tobit_fit(train, val, cfg).net
+            tob_lo, tob_hi = (tob_net.quantile(test.X, theta) for theta in INTERVAL_PAIR)
             cqr_lo = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[0]).predict(test.X)
             cqr_hi = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[1]).predict(test.X)
             for model, (lo, hi) in (("tobit", (tob_lo, tob_hi)), ("c-linear", (cqr_lo, cqr_hi))):
@@ -491,12 +480,15 @@ def _t4_cell(task):
 
 
 def _map_tasks(fn, tasks, jobs):
+    """fn over tasks in order, in `jobs` worker processes when jobs > 1 and
+    there are several tasks; yields each result once it and those before it are done."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            yield from pool.map(fn, tasks)
+    else:
+        yield from map(fn, tasks)
 
 
 def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),

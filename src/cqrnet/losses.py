@@ -87,12 +87,10 @@ def _as_1d(name, x, n=None):
 # The underscored kernels below take arguments that were already validated;
 # the training objectives at the end of this module validate once per fit.
 
-def censored_qr_nll(y, tau, preds, theta, include_constant=False):
+def censored_qr_nll(y, tau, preds, theta):
     """Negative log-likelihood of the censored quantile model (summed).
 
-    sum_i rho_theta(y_i - max(tau_i, qhat_i)); with `include_constant` the
-    parameter-free term -N log(theta) - N log(1-theta) is added. The
-    training loop always uses the constant-free form.
+    sum_i rho_theta(y_i - max(tau_i, qhat_i)).
     """
     theta = _check_theta(theta)
     y = _as_1d("y", y)
@@ -100,11 +98,7 @@ def censored_qr_nll(y, tau, preds, theta, include_constant=False):
         raise ValueError("need at least one observation")
     tau = _as_1d("tau", tau, y.shape[0])
     preds = _as_1d("preds", preds, y.shape[0])
-    total = float(_tilted(y - np.maximum(tau, preds), theta).sum())
-    if include_constant:
-        n = y.shape[0]
-        total += -n * math.log(theta) - n * math.log(1.0 - theta)
-    return total
+    return float(_tilted(y - np.maximum(tau, preds), theta).sum())
 
 
 def censored_qr_nll_grad(y, tau, preds, theta):

@@ -14,6 +14,9 @@ Families
   hidden state. One step loop serves evaluation and the recorded training
   pass; each step takes one matmul and one tanh for all four gates (see
   the class docstring for the fused gates and the cache layout).
+* TobitNet: the linear mean x . beta of the Tobit latent N(x . beta,
+  sigma^2), sigma fixed or learned as log_sigma; `quantile(X, theta)` is
+  x . beta + sigma * Phi^{-1}(theta).
 * MirrorWrapper: negates inputs and outputs of an inner net, which is how
   right-censored data is handled (fit the inner net on the negated,
   left-censored dataset at level 1 - theta).
@@ -37,11 +40,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datagen import mirror_covariates
+from .normal import std_normal_quantile
+
 __all__ = [
     "LinearQuantileNet",
     "RegularizedLinearNet",
     "StackedUnitNet",
     "LstmQuantileNet",
+    "TobitNet",
     "MirrorWrapper",
     "init_weights",
     "net_from_dict",
@@ -430,35 +437,60 @@ class LstmQuantileNet(_Net):
         }
 
 
+class TobitNet(LinearQuantileNet):
+    """Linear mean model carrying the scale for the Tobit likelihood."""
+
+    family = "tobit"
+
+    def __init__(self, dim, sigma=1.0, estimate_sigma=False):
+        super().__init__(dim, activation="identity")
+        if not (np.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        self.sigma = float(sigma)
+        self.estimate_sigma = bool(estimate_sigma)
+        if estimate_sigma:
+            self.param_order = ("beta", "log_sigma")
+            self.params["log_sigma"] = np.array([np.log(self.sigma)])
+
+    def current_sigma(self) -> float:
+        if self.estimate_sigma:
+            return float(np.exp(self.params["log_sigma"][0]))
+        return self.sigma
+
+    # bound here for perfbench; a learned log_sigma's gradient comes from losses.TobitLoss
+    backward = LinearQuantileNet.backward
+
+    def quantile(self, X, theta):
+        """q_theta(y*|x) = x . beta + sigma * Phi^{-1}(theta); the interval
+        width between two levels is the same for every row."""
+        return self._check(X) @ self.params["beta"] + self.current_sigma() * std_normal_quantile(theta)
+
+    def config(self):
+        return {"dim": self.dim, "sigma": self.sigma, "estimate_sigma": self.estimate_sigma}
+
+
 class MirrorWrapper(_Net):
     """Negate-and-mirror view of an inner net for right-censored data.
 
     predict(x; theta) = -inner.predict(-x; 1-theta); the training pipeline
     fits the inner net on the negated (left-censored) dataset, so this
-    wrapper only has to mirror evaluation. The intercept slot keeps its
-    +1 convention and is not negated.
+    wrapper only has to mirror evaluation. Inputs are mirrored as the
+    dataset's covariates are (`datagen.mirror_covariates`): the intercept
+    slot keeps its +1 convention and is not negated.
     """
 
     family = "mirror"
     param_order = ()
 
-    def __init__(self, inner, intercept_column=True):
+    def __init__(self, inner):
         self.inner = inner
-        self.intercept_column = bool(intercept_column)
 
     @property
     def params(self):
         return self.inner.params
 
-    def mirror_inputs(self, X):
-        X = np.asarray(X, dtype=float)
-        Xm = -X
-        if self.intercept_column:
-            Xm[:, 0] = X[:, 0]
-        return Xm
-
     def forward(self, X):
-        return -self.inner.forward(self.mirror_inputs(X))
+        return -self.inner.forward(mirror_covariates(X))
 
     def forward_train(self, X, rng=None):
         raise RuntimeError(
@@ -469,10 +501,11 @@ class MirrorWrapper(_Net):
         raise RuntimeError("MirrorWrapper does not backpropagate; train the inner net")
 
     def copy(self):
-        return MirrorWrapper(self.inner.copy(), intercept_column=self.intercept_column)
+        return MirrorWrapper(self.inner.copy())
 
     def config(self):
-        return {"intercept_column": self.intercept_column}
+        # the saved form records the intercept convention; every mirror keeps column 0
+        return {"intercept_column": True}
 
     def to_dict(self):
         return {"family": self.family, "config": self.config(), "inner": self.inner.to_dict()}
@@ -486,9 +519,6 @@ def init_weights(net, scheme, seed=None):
     except the LSTM recurrent matrix which is scaled by 1/sqrt(hidden)
     to keep the unrolled cell trainable.
     """
-    if isinstance(net, MirrorWrapper):
-        init_weights(net.inner, scheme, seed)
-        return net
     if scheme == "ones":
         for name in net.param_order:
             net.params[name] = np.ones_like(net.params[name])
@@ -509,15 +539,15 @@ _FAMILIES = {
     "reg_linear": RegularizedLinearNet,
     "stacked": StackedUnitNet,
     "lstm": LstmQuantileNet,
+    "tobit": TobitNet,
 }
 
 
 def net_from_dict(payload):
-    """Rebuild a net from its to_dict() document."""
+    """Rebuild a net of any family from its to_dict() document."""
     family = payload["family"]
     if family == "mirror":
-        inner = net_from_dict(payload["inner"])
-        return MirrorWrapper(inner, **payload["config"])
+        return MirrorWrapper(net_from_dict(payload["inner"]))
     try:
         cls = _FAMILIES[family]
     except KeyError:

@@ -2,9 +2,11 @@
 
 The latent distribution at x is N(x . beta, sigma^2) with sigma fixed at 1
 by default, trained under the censored Gaussian NLL through the shared
-Adam loop (same clipping and early-stopping contract). Quantiles are
-x . beta + sigma * Phi^{-1}(theta), so the 5%-95% interval width is
-covariate-independent: 2 * sigma * Phi^{-1}(0.95).
+Adam loop (same clipping and early-stopping contract). The net is
+`models.TobitNet`, a registered family like the others (re-exported
+here); its `quantile(X, theta)` is x . beta + sigma * Phi^{-1}(theta), so
+the 5%-95% interval width is covariate-independent:
+2 * sigma * Phi^{-1}(0.95).
 
 Joint scale estimation (log-sigma parameterization) is available behind
 `estimate_sigma` for real-data use; the benchmark comparisons keep sigma
@@ -16,57 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import CensoredDataset
-from .models import LinearQuantileNet, init_weights
-from .normal import std_normal_quantile
+from .models import TobitNet, init_weights
 from .training import TrainConfig, FitResult, fit
 
-__all__ = ["TobitNet", "TobitModel", "tobit_fit", "tobit_quantiles"]
-
-
-class TobitNet(LinearQuantileNet):
-    """Linear mean model carrying the scale for the Tobit likelihood."""
-
-    family = "tobit"
-
-    def __init__(self, dim, sigma=1.0, estimate_sigma=False):
-        super().__init__(dim, activation="identity")
-        if not (np.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        self.sigma = float(sigma)
-        self.estimate_sigma = bool(estimate_sigma)
-        if estimate_sigma:
-            self.param_order = ("beta", "log_sigma")
-            self.params["log_sigma"] = np.array([np.log(self.sigma)])
-
-    def current_sigma(self) -> float:
-        if self.estimate_sigma:
-            return float(np.exp(self.params["log_sigma"][0]))
-        return self.sigma
-
-    # bound here for perfbench; a learned log_sigma's gradient comes from losses.TobitLoss
-    backward = LinearQuantileNet.backward
-
-    def config(self):
-        return {"dim": self.dim, "sigma": self.sigma, "estimate_sigma": self.estimate_sigma}
-
-
-class TobitModel:
-    """Fitted Tobit parameters with the quantile map."""
-
-    def __init__(self, beta, sigma=1.0, side="left"):
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        self.beta = np.asarray(beta, dtype=float)
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        self.sigma = float(sigma)
-        self.side = side
-
-    @classmethod
-    def from_fit(cls, result: FitResult, side) -> "TobitModel":
-        net = result.net
-        sigma = net.current_sigma() if isinstance(net, TobitNet) else 1.0
-        return cls(net.params["beta"], sigma=sigma, side=side)
+__all__ = ["TobitNet", "tobit_fit"]
 
 
 def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
@@ -82,9 +37,3 @@ def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
     if estimate_sigma:
         net.params["log_sigma"] = np.array([np.log(sigma)])
     return fit(net, "tobit", train, val, cfg)
-
-
-def tobit_quantiles(model: TobitModel, X, theta):
-    """q_theta(y*|x) = x . beta + sigma * Phi^{-1}(theta)."""
-    X = np.asarray(X, dtype=float)
-    return X @ model.beta + model.sigma * std_normal_quantile(theta)

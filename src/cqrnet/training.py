@@ -47,7 +47,6 @@ __all__ = [
     "impute_thresholds",
     "InitCandidate",
     "select_initialization",
-    "write_trace_csv",
 ]
 
 @dataclass(frozen=True)
@@ -332,13 +331,3 @@ def select_initialization(candidates, train_observed_mean, mil_ceiling=2.0):
     winner = min(pool, key=lambda c: (abs(c.val_icp - 0.9), c.seed))
     return winner, fallback
 
-
-def write_trace_csv(result: FitResult, path):
-    """Dump per-epoch losses as `epoch,train_loss,val_loss`."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for e, (tr, va) in enumerate(zip(result.train_trace, result.val_trace)):
-            writer.writerow([e, repr(tr), repr(va)])

@@ -77,8 +77,13 @@ def test_fit_evaluate_pipeline(tmp_path):
     assert len(cells) == 9  # cross product of models and thetas
     manifest = read_manifest(fits / "fit-manifest.json")
     assert manifest["stats"] == {"skipped_existing": 0, "fitted": 9}
-    trace = next(fits.glob("trace-*.csv")).read_text().splitlines()
-    assert trace[0] == "epoch,train_loss,val_loss"
+    # one trace per cell: a csv header and one row of repr strings per epoch
+    traces = sorted(fits.glob("trace-*.csv"))
+    assert len(traces) == 9
+    for trace in traces:
+        doc = json.loads((fits / trace.name.replace("trace-", "fit-").replace(".csv", ".json")).read_text())
+        rows = [f"{e},{tr!r},{va!r}\r\n" for e, (tr, va) in enumerate(zip(doc["train_trace"], doc["val_trace"]))]
+        assert trace.read_bytes() == ("epoch,train_loss,val_loss\r\n" + "".join(rows)).encode()
 
     # idempotent rerun: zero refits without --force
     assert run(["fit", "--data", data, "--models", "tl-linear,c-linear,c-elu",
@@ -129,6 +134,37 @@ def test_fit_reads_dataset_once_and_jobs_agree(tmp_path, monkeypatch):
             docs[jobs][path.name] = doc
     assert len(loads) == 2  # once per command, not once per cell
     assert len(docs[1]) == 6 and docs[1] == docs[2]
+
+
+def test_evaluate_refuses_fits_from_another_split(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-standard_gaussian.csv"
+    fits = tmp_path / "fits"
+    assert run(["fit", "--data", data, "--models", "c-linear", "--thetas", "0.5", "--learning-rate", 0.01,
+                "--max-epochs", 50, "--seed", 1, "--out-dir", fits]) == 0
+    capsys.readouterr()
+    # the default --seed 0 holds out other rows, many of them training rows of the fit
+    assert run(["evaluate", "--data", data, "--fits", fits, "--out-dir", tmp_path / "e0"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed 0" in err and "--seed 1" in err
+    assert not (tmp_path / "e0" / "evaluation.csv").exists()
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", tmp_path / "e1"]) == 0
+    # a fit that records no split is refused too
+    cell = fits / "fit-c-linear-theta0.5.json"
+    doc = json.loads(cell.read_text())
+    del doc["test_split_sha256"], doc["master_seed"]
+    cell.write_text(json.dumps(doc))
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", tmp_path / "e2"]) == 2
+
+    # right-censored series split into consecutive thirds: every seed holds out the same rows
+    series_dir = tmp_path / "series"
+    assert run(["generate", "--censor", "partial", "--n-days", 120, "--seed", 1, "--out-dir", series_dir]) == 0
+    series = series_dir / "censored-partial.csv"
+    series_fits = tmp_path / "series-fits"
+    assert run(["fit", "--data", series, "--models", "tl-linear", "--thetas", "0.05,0.95", "--learning-rate", 0.1,
+                "--max-epochs", 50, "--seed", 1, "--out-dir", series_fits]) == 0
+    assert run(["evaluate", "--data", series, "--fits", series_fits, "--out-dir", tmp_path / "e3"]) == 0
 
 
 def test_fit_rejects_tampered_dataset_csv(tmp_path, capsys):

@@ -24,8 +24,11 @@ def test_child_seed_is_stable_and_path_sensitive():
 def test_parse_model_name():
     assert parse_model_name("c-linear").loss_kind == "censored_nll"
     assert parse_model_name("tl-linear").loss_kind == "tilted"
+    assert parse_model_name("tobit").loss_kind == "tobit"
     spec = parse_model_name("c-stacked-sigmoid-10")
-    assert spec.family == "stacked:sigmoid:10"
+    assert spec.loss_kind == "censored_nll"
+    net = spec.build(3)
+    assert (type(net).__name__, net.activation, net.units, net.dim) == ("StackedUnitNet", "sigmoid", 10, 3)
     for bad in ("c-quadratic", "c-stacked-step-3", "c-stacked-tanh-x"):
         with pytest.raises(ValueError):
             parse_model_name(bad)
@@ -35,6 +38,7 @@ def test_build_net_dims():
     assert build_net("c-lstm", 8).dim == 8
     assert build_net("c-reg-linear", 5).dropout_rate == 0.2
     assert build_net("c-stacked-relu-10", 4).units == 10
+    assert build_net("tobit", 3).to_dict()["config"] == {"dim": 3, "sigma": 1.0, "estimate_sigma": False}
 
 
 def test_t1_cells_match_analytic_values():

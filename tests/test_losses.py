@@ -85,10 +85,6 @@ def test_censored_nll_examples():
     # hand evaluation: rho_.5(1-2) + rho_.5(0 - max(0,-3)) = 0.5 + 0
     got = censored_qr_nll([1.0, 0.0], [0.0, 0.0], [2.0, -3.0], 0.5)
     assert got == pytest.approx(0.5)
-    # constant term: -log(theta) - log(1-theta) for one point
-    got = censored_qr_nll([1.0], [0.0], [1.0], 0.95, include_constant=True)
-    assert got == pytest.approx(-math.log(0.95) - math.log(0.05))
-    assert got == pytest.approx(3.0471, abs=5e-4)
 
 
 def test_censored_nll_shape_errors():

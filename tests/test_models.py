@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cqrnet.datagen import CensoredDataset
 from cqrnet.models import (
     _sigmoid,
     LinearQuantileNet,
@@ -295,6 +298,50 @@ def test_mirror_twice_is_identity():
     double = MirrorWrapper(MirrorWrapper(inner))
     X = np.column_stack([np.ones(8), rng.normal(size=(8, 5))])
     assert np.max(np.abs(double.forward(X) - inner.forward(X))) < 1e-12
+
+
+@st.composite
+def datasets(draw):
+    """Unvalidated datasets of any side: the mirror only negates, so every
+    float (NaN thresholds included) must come back unchanged."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    floats = st.floats(allow_nan=False, width=64)
+    return CensoredDataset(
+        X=draw(arrays(np.float64, (n, d), elements=floats)),
+        y=draw(arrays(np.float64, n, elements=floats)),
+        tau=draw(arrays(np.float64, n, elements=st.floats(width=64))),
+        censored=draw(arrays(np.bool_, n)),
+        side=draw(st.sampled_from(["left", "right"])),
+        y_star=draw(st.none() | arrays(np.float64, n, elements=floats)),
+    )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(datasets())
+def test_mirroring_a_dataset_twice_gives_it_back_bit_for_bit(ds):
+    back = ds.mirrored().mirrored()
+    assert back.side == ds.side
+    for name in ("X", "y", "tau", "censored", "y_star"):
+        want, got = getattr(ds, name), getattr(back, name)
+        assert (got is None) if want is None else same_bits(got, want)
+
+
+class _Recorder:
+    """An inner net that keeps the inputs it is given."""
+
+    def forward(self, X):
+        self.X = X
+        return np.zeros(X.shape[0])
+
+
+@given(datasets())
+def test_wrapper_mirrors_inputs_as_the_dataset_does(ds):
+    inner = _Recorder()
+    MirrorWrapper(inner).forward(ds.X)
+    assert same_bits(inner.X, ds.mirrored().X)
 
 
 def test_mirror_does_not_train_directly():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cqrnet.datagen import CensoredDataset, SyntheticSpec, gen_synthetic, split
+from cqrnet.models import net_from_dict
 from cqrnet.normal import std_normal_quantile
-from cqrnet.tobit import TobitModel, TobitNet, tobit_fit, tobit_quantiles
+from cqrnet.tobit import TobitNet, tobit_fit
 from cqrnet.training import TrainConfig
 
 
@@ -16,40 +17,59 @@ def uncensored_dataset(beta, n, seed, sigma=1.0):
     return CensoredDataset(X=X, y=y, tau=np.full(n, -np.inf), censored=np.zeros(n, dtype=bool), side="left")
 
 
+def tobit_net(beta, sigma=1.0):
+    net = TobitNet(len(beta), sigma=sigma)
+    net.params["beta"] = np.asarray(beta, dtype=float)
+    return net
+
+
 def test_quantile_map_examples():
-    model = TobitModel(beta=[0.5, 2.0], sigma=1.0)
+    net = tobit_net([0.5, 2.0], sigma=1.0)
     X = np.array([[1.0, 3.0]])
-    assert tobit_quantiles(model, X, 0.5)[0] == pytest.approx(6.5)
-    width = tobit_quantiles(model, X, 0.95)[0] - tobit_quantiles(model, X, 0.05)[0]
+    assert net.quantile(X, 0.5)[0] == pytest.approx(6.5)
+    width = net.quantile(X, 0.95)[0] - net.quantile(X, 0.05)[0]
     assert width == pytest.approx(2 * std_normal_quantile(0.95))
     assert width == pytest.approx(3.28971, abs=5e-5)
-    doubled = TobitModel(beta=[0.5, 2.0], sigma=2.0)
-    dwidth = tobit_quantiles(doubled, X, 0.95)[0] - tobit_quantiles(doubled, X, 0.05)[0]
+    doubled = tobit_net([0.5, 2.0], sigma=2.0)
+    dwidth = doubled.quantile(X, 0.95)[0] - doubled.quantile(X, 0.05)[0]
     assert dwidth == pytest.approx(2 * width)
 
 
 def test_quantiles_increasing_in_theta():
-    model = TobitModel(beta=[1.0, -1.0], sigma=1.3)
+    net = tobit_net([1.0, -1.0], sigma=1.3)
     X = np.array([[1.0, 0.7]])
-    qs = [tobit_quantiles(model, X, t)[0] for t in np.linspace(0.01, 0.99, 30)]
+    qs = [net.quantile(X, t)[0] for t in np.linspace(0.01, 0.99, 30)]
     assert np.all(np.diff(qs) > 0)
 
 
 def test_mil_is_covariate_independent():
-    model = TobitModel(beta=[0.3, 1.0, -2.0], sigma=1.0)
+    net = tobit_net([0.3, 1.0, -2.0], sigma=1.0)
     X = np.column_stack([np.ones(50), np.random.default_rng(0).normal(size=(50, 2))])
-    widths = tobit_quantiles(model, X, 0.95) - tobit_quantiles(model, X, 0.05)
+    widths = net.quantile(X, 0.95) - net.quantile(X, 0.05)
     assert np.ptp(widths) < 1e-12
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        TobitModel(beta=[1.0], sigma=0.0)
-    with pytest.raises(ValueError):
-        TobitModel(beta=[1.0], sigma=1.0, side="up")
-    for sigma in (-1.0, np.inf, np.nan):
+    for sigma in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             TobitNet(3, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma, estimate_sigma", [(1.5, False), (1.0, True)])
+def test_fit_round_trips_through_net_from_dict(sigma, estimate_sigma):
+    """A saved Tobit fit, with a fixed or a learned scale, loads back as the
+    same net: equal parameters, scale and quantiles."""
+    train, val = uncensored_dataset([0.5, 1.0], 80, 1, sigma=1.6), uncensored_dataset([0.5, 1.0], 40, 2, sigma=1.6)
+    net = tobit_fit(train, val, TrainConfig(learning_rate=0.05, max_epochs=50),
+                    sigma=sigma, estimate_sigma=estimate_sigma).net
+    clone = net_from_dict(net.to_dict())
+    assert isinstance(clone, TobitNet)
+    assert clone.params.keys() == net.params.keys()
+    assert all(np.array_equal(clone.params[k], net.params[k]) for k in net.params)
+    assert clone.current_sigma() == net.current_sigma()
+    assert (clone.current_sigma() != sigma) == estimate_sigma
+    for theta in (0.05, 0.5, 0.95):
+        assert np.array_equal(clone.quantile(val.X, theta), net.quantile(val.X, theta))
 
 
 def test_fit_without_censoring_matches_least_squares():
@@ -97,13 +117,11 @@ def test_estimate_sigma_extension():
     assert np.max(np.abs(net.params["beta"] - beta_true)) < 0.15
 
 
-def test_from_fit_and_sides():
+def test_fit_scale_and_sides():
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 8))
     train, val, _ = split(ds, seed=9)
     result = tobit_fit(train, val, TrainConfig())
-    model = TobitModel.from_fit(result, side=train.side)
-    assert model.side == "left"
-    assert model.sigma == 1.0
+    assert result.net.current_sigma() == 1.0
 
     # right-censored data trains under the upper orientation directly
     mirrored = ds.mirrored()

@@ -322,11 +322,10 @@ def test_select_rejects_nonpositive_or_nonfinite_mean(mean):
         select_initialization(cands, train_observed_mean=mean)
 
 
-def test_fit_result_serialization_round_trip(tmp_path):
+def test_fit_result_serialization_round_trip():
     import json
 
     from cqrnet.models import net_from_dict
-    from cqrnet.training import write_trace_csv
 
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 200, 24))
     train, val, test = split(ds, seed=25)
@@ -339,12 +338,6 @@ def test_fit_result_serialization_round_trip(tmp_path):
     assert loaded["diagnostics"] == result.diagnostics
     assert loaded["diagnostics"]["stop_reason"] == ("max_epochs" if result.hit_max_epochs else "patience")
     assert 0.0 <= loaded["diagnostics"]["clip_share"] <= 1.0
-
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss"
-    assert len(lines) == len(result.train_trace) + 1
 
 
 def test_unaware_val_icp_worse_under_heavy_partial_censoring():
