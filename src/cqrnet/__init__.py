@@ -49,7 +49,6 @@ from .training import (
     FitResult,
     TrainConfig,
     fit,
-    fit_quantile,
     fit_with_lr_grid,
     impute_thresholds,
     select_initialization,

@@ -194,6 +194,12 @@ def cmd_fit(args, parser):
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
+                with open(cell_path) as fh:
+                    doc = json.load(fh)
+                if doc.get("test_split_sha256") != split_keys["test_split_sha256"]:
+                    raise ValueError(
+                        f"{cell_path} was fitted on another split (fit --seed {doc.get('master_seed', 'not recorded')}) "
+                        f"than fit --seed {args.seed} holds out of {args.data}; refit it with --force")
                 skipped += 1
                 continue
             # Tobit cells keep the fixed rate: the grid would fit each of them four times

@@ -128,7 +128,9 @@ class CensoredDataset:
 
     def mirrored(self) -> "CensoredDataset":
         """Negated view: right-censored data becomes left-censored (and
-        vice versa); quantile levels map to their mirrors 1 - theta."""
+        vice versa); quantile levels map to their mirrors 1 - theta, rounded
+        to 12 decimals so that every level of at most 12 decimals comes back
+        exactly when mirrored twice."""
         return CensoredDataset(
             X=mirror_covariates(self.X),
             y=-self.y,
@@ -136,7 +138,7 @@ class CensoredDataset:
             censored=self.censored.copy(),
             side="left" if self.side == "right" else "right",
             y_star=None if self.y_star is None else -self.y_star,
-            true_quantiles={1.0 - t: -v for t, v in self.true_quantiles.items()},
+            true_quantiles={round(1.0 - t, 12): -v for t, v in self.true_quantiles.items()},
         )
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import datagen, metrics, tobit
+from . import datagen, metrics
 from .models import (
     LinearQuantileNet,
     LstmQuantileNet,
@@ -31,7 +31,7 @@ from .models import (
 from .training import (
     InitCandidate,
     TrainConfig,
-    fit_quantile,
+    fit,
     fit_with_lr_grid,
     impute_thresholds,
     select_initialization,
@@ -124,7 +124,7 @@ def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, 
 
     if use_lr_grid:
         return fit_with_lr_grid(factory, spec.loss_kind, train, val, cfg, theta=theta)
-    return fit_quantile(factory(), spec.loss_kind, train, val, cfg, theta=theta)
+    return fit(factory(), spec.loss_kind, train, val, cfg, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             train, val, test = datagen.split(
                 ds, seed=child_seed(master_seed, "t3", noise, "split", rep)
             )
-            tob_net = tobit.tobit_fit(train, val, cfg).net
+            tob_net = fit_model("tobit", train, val, cfg, None).net
             tob_lo, tob_hi = (tob_net.quantile(test.X, theta) for theta in INTERVAL_PAIR)
             cqr_lo = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[0]).predict(test.X)
             cqr_hi = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[1]).predict(test.X)

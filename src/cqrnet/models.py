@@ -18,13 +18,18 @@ Families
   sigma^2), sigma fixed or learned as log_sigma; `quantile(X, theta)` is
   x . beta + sigma * Phi^{-1}(theta).
 * MirrorWrapper: negates inputs and outputs of an inner net, which is how
-  right-censored data is handled (fit the inner net on the negated,
-  left-censored dataset at level 1 - theta).
+  right-censored data is handled: `training.fit` fits the inner net on the
+  negated, left-censored dataset at level 1 - theta and returns it wrapped.
 
 All nets share the same contract: `forward(X)` for evaluation,
 `forward_train(X, rng, n_train)` to record the state backprop needs, and
 `backward(dpred)` returning parameter gradients for the summed upstream
 signal. Gradients include the L2 term where applicable.
+
+A net's saved form (`to_dict`) is its family, its constructor's arguments
+and its parameters. The arguments are read back from the attributes of the
+same name (`_Net.config`), and the activation pair is looked up by name at
+call time, so a net holds only plain data and pickles as it is.
 
 One pass serves a training epoch: `forward_train` records and drops out
 only the first `n_train` rows (training rows stacked on validation rows)
@@ -37,6 +42,8 @@ to within 2.2e-16.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -125,15 +132,6 @@ class _Net:
         return 0.0
 
     # -- housekeeping ------------------------------------------------------
-    def __getstate__(self):
-        # the activation pair is looked up again by name: lambdas do not pickle
-        return {k: v for k, v in vars(self).items() if k not in ("_act", "_act_deriv")}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        if "activation" in state:
-            self._act, self._act_deriv = _ACTIVATIONS[self.activation]
-
     def copy(self):
         import copy as _copy
 
@@ -143,7 +141,9 @@ class _Net:
         return dup
 
     def config(self) -> dict:
-        raise NotImplementedError
+        """The constructor's arguments, read back from the attributes of the same name."""
+        names = list(inspect.signature(type(self).__init__).parameters)[1:]
+        return {name: getattr(self, name) for name in names}
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +172,6 @@ class LinearQuantileNet(_Net):
             raise ValueError(f"unsupported activation {activation!r}")
         self.dim = int(dim)
         self.activation = activation
-        self._act, self._act_deriv = _ACTIVATIONS[activation]
         self.params = {"beta": np.zeros(self.dim)}
 
     # bound on the class itself: perfbench wraps these two by class
@@ -182,17 +181,14 @@ class LinearQuantileNet(_Net):
         z = _matmul_rows(X, self.params["beta"], n)
         if n:
             self._cache = (X[:n], z[:n])
-        return self._act(z)
+        return _ACTIVATIONS[self.activation][0](z)
 
     def backward(self, dpred):
         X, z = self._require_cache()
         dz = np.asarray(dpred, dtype=float)
         if self.activation != "identity":
-            dz = dz * self._act_deriv(z)
+            dz = dz * _ACTIVATIONS[self.activation][1](z)
         return {"beta": X.T @ dz}
-
-    def config(self):
-        return {"dim": self.dim, "activation": self.activation}
 
 
 class RegularizedLinearNet(LinearQuantileNet):
@@ -238,11 +234,6 @@ class RegularizedLinearNet(LinearQuantileNet):
         beta = self.params["beta"]
         return 0.5 * self.l2_coeff * float(np.sum(beta[1:] ** 2))
 
-    def config(self):
-        cfg = super().config()
-        cfg.update({"dropout_rate": self.dropout_rate, "l2_coeff": self.l2_coeff})
-        return cfg
-
 
 class StackedUnitNet(_Net):
     """One hidden layer of `units` nonlinear neurons, linear aggregation."""
@@ -258,7 +249,6 @@ class StackedUnitNet(_Net):
         self.units = int(units)
         self.activation = activation
         self.l2_coeff = float(l2_coeff)
-        self._act, self._act_deriv = _ACTIVATIONS[activation]
         self.params = {
             "w_hidden": np.zeros((self.units, self.dim)),
             "w_out": np.zeros(self.units),
@@ -267,7 +257,7 @@ class StackedUnitNet(_Net):
 
     def _pass(self, X, n):
         z1 = _matmul_rows(X, self.params["w_hidden"].T, n)
-        hidden = self._act(z1)
+        hidden = _ACTIVATIONS[self.activation][0](z1)
         if n:
             self._cache = (X[:n], z1[:n], hidden[:n])
         return _matmul_rows(hidden, self.params["w_out"], n) + self.params["b_out"][0]
@@ -276,7 +266,7 @@ class StackedUnitNet(_Net):
         X, z1, hidden = self._require_cache()
         d = np.asarray(dpred, dtype=float)
         dhidden = d[:, None] * self.params["w_out"][None, :]
-        dz1 = dhidden * self._act_deriv(z1)
+        dz1 = dhidden * _ACTIVATIONS[self.activation][1](z1)
         grads = {
             "w_hidden": dz1.T @ X,
             "w_out": hidden.T @ d,
@@ -293,14 +283,6 @@ class StackedUnitNet(_Net):
         return 0.5 * self.l2_coeff * float(
             np.sum(self.params["w_hidden"] ** 2) + np.sum(self.params["w_out"] ** 2)
         )
-
-    def config(self):
-        return {
-            "dim": self.dim,
-            "units": self.units,
-            "activation": self.activation,
-            "l2_coeff": self.l2_coeff,
-        }
 
 
 class LstmQuantileNet(_Net):
@@ -428,14 +410,6 @@ class LstmQuantileNet(_Net):
         grads["b"] = stacked[:, hsz + 1]
         return grads
 
-    def config(self):
-        return {
-            "lags": self.lags,
-            "hidden_size": self.hidden_size,
-            "output_bias": self.output_bias,
-            "intercept_column": self.intercept_column,
-        }
-
 
 class TobitNet(LinearQuantileNet):
     """Linear mean model carrying the scale for the Tobit likelihood."""
@@ -464,9 +438,6 @@ class TobitNet(LinearQuantileNet):
         """q_theta(y*|x) = x . beta + sigma * Phi^{-1}(theta); the interval
         width between two levels is the same for every row."""
         return self._check(X) @ self.params["beta"] + self.current_sigma() * std_normal_quantile(theta)
-
-    def config(self):
-        return {"dim": self.dim, "sigma": self.sigma, "estimate_sigma": self.estimate_sigma}
 
 
 class MirrorWrapper(_Net):
@@ -503,12 +474,9 @@ class MirrorWrapper(_Net):
     def copy(self):
         return MirrorWrapper(self.inner.copy())
 
-    def config(self):
-        # the saved form records the intercept convention; every mirror keeps column 0
-        return {"intercept_column": True}
-
     def to_dict(self):
-        return {"family": self.family, "config": self.config(), "inner": self.inner.to_dict()}
+        # the saved form records the intercept convention; every mirror keeps column 0
+        return {"family": self.family, "config": {"intercept_column": True}, "inner": self.inner.to_dict()}
 
 
 def init_weights(net, scheme, seed=None):
@@ -517,14 +485,16 @@ def init_weights(net, scheme, seed=None):
     scheme "ones" fills every parameter with 1; "standard_normal" draws
     each parameter i.i.d. N(0,1) from a generator seeded with `seed`,
     except the LSTM recurrent matrix which is scaled by 1/sqrt(hidden)
-    to keep the unrolled cell trainable.
+    to keep the unrolled cell trainable. A learned Tobit scale keeps the
+    constructor's sigma; it is last in `param_order`, so no draw moves.
     """
+    names = [name for name in net.param_order if name != "log_sigma"]
     if scheme == "ones":
-        for name in net.param_order:
+        for name in names:
             net.params[name] = np.ones_like(net.params[name])
     elif scheme == "standard_normal":
         rng = np.random.default_rng(seed)
-        for name in net.param_order:
+        for name in names:
             draw = rng.standard_normal(net.params[name].shape)
             if name == "w_h":
                 draw = draw / np.sqrt(net.hidden_size)

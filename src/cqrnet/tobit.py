@@ -1,21 +1,19 @@
 """Parametric censored baseline: linear Gaussian latent model (Tobit).
 
-The latent distribution at x is N(x . beta, sigma^2) with sigma fixed at 1
-by default, trained under the censored Gaussian NLL through the shared
-Adam loop (same clipping and early-stopping contract). The net is
-`models.TobitNet`, a registered family like the others (re-exported
-here); its `quantile(X, theta)` is x . beta + sigma * Phi^{-1}(theta), so
-the 5%-95% interval width is covariate-independent:
-2 * sigma * Phi^{-1}(0.95).
+The latent distribution at x is N(x . beta, sigma^2), trained under the
+censored Gaussian NLL through the shared Adam loop (same clipping and
+early-stopping contract). The net is `models.TobitNet`, a registered
+family like the others (re-exported here); its `quantile(X, theta)` is
+x . beta + sigma * Phi^{-1}(theta), so the 5%-95% interval width is
+covariate-independent: 2 * sigma * Phi^{-1}(0.95).
 
-Joint scale estimation (log-sigma parameterization) is available behind
-`estimate_sigma` for real-data use; the benchmark comparisons keep sigma
-fixed.
+Table 3 and `cqrnet fit` fit the registry's `tobit` model (sigma fixed at
+1) through `experiments.fit_model`. `tobit_fit` is the library entry for
+other settings, a learned scale (log-sigma parameterization, starting at
+the given sigma) among them.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .datagen import CensoredDataset
 from .models import TobitNet, init_weights
@@ -33,7 +31,4 @@ def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
     scheme is requested.
     """
     net = TobitNet(train.X.shape[1], sigma=sigma, estimate_sigma=estimate_sigma)
-    init_weights(net, init_scheme, seed=init_seed)
-    if estimate_sigma:
-        net.params["log_sigma"] = np.array([np.log(sigma)])
-    return fit(net, "tobit", train, val, cfg)
+    return fit(init_weights(net, init_scheme, seed=init_seed), "tobit", train, val, cfg)

@@ -17,10 +17,11 @@ for a few parameters) and the best-epoch snapshot each act on one array.
 Every step keeps the arithmetic of separate per-set calls and per-key
 sums, so seeded traces stay the same to the bit.
 
-Right-censored data must go through the mirror route: `fit_quantile`
-negates the dataset, fits the inner net at level 1 - theta, and returns
-a MirrorWrapper whose predictions are already in the original
-orientation.
+`fit` is the one entry point for every loss and orientation. Under the
+censored NLL, right-censored data is fitted through the mirror: the inner
+net trains on the negated (left-censored) sets at level 1 - theta, and the
+result holds it in a MirrorWrapper whose predictions are already in the
+original orientation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "NonFiniteLossError",
     "AllFitsDivergedError",
     "fit",
-    "fit_quantile",
     "fit_with_lr_grid",
     "train_mean_ratio",
     "impute_thresholds",
@@ -162,12 +162,22 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     The returned result holds a copy of the net restored to the best
     validation epoch. Raises NonFiniteLossError if either loss leaves the
     reals (the lr-grid driver treats that as a diverged cell).
+
+    The censored NLL on right-censored data fits `net` on the mirrored sets
+    at level 1 - theta; the result then holds it in a MirrorWrapper, with
+    the caller's theta and `mirrored=True`. The tilted and Tobit losses
+    train on either side directly.
     """
     if train.n < 1 or val.n < 1:
         raise ValueError("train and val must be nonempty")
     if loss_kind not in losses.TRAINING_LOSSES:
         raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
-    loss = losses.TRAINING_LOSSES[loss_kind](train, val, theta, net)
+    mirrored = loss_kind == "censored_nll" and train.side == "right"
+    level = theta
+    if mirrored:
+        train, val = train.mirrored(), val.mirrored()
+        level = None if theta is None else 1.0 - theta  # None: the loss names the missing level
+    loss = losses.TRAINING_LOSSES[loss_kind](train, val, level, net)
     X = np.concatenate([train.X, val.X], dtype=float)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
@@ -218,7 +228,7 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     fitted = net.copy()
     fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
     return FitResult(
-        net=fitted,
+        net=MirrorWrapper(fitted) if mirrored else fitted,
         loss_kind=loss_kind,
         theta=theta,
         learning_rate=cfg.learning_rate,
@@ -229,25 +239,9 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         stopping_epoch=epoch,
         hit_max_epochs=stop_reason == "max_epochs",
         wall_time=time.perf_counter() - started,
+        mirrored=mirrored,
         diagnostics={"stop_reason": stop_reason, "clip_share": clipped / steps},
     )
-
-
-def fit_quantile(net, loss_kind, train, val, cfg, theta) -> FitResult:
-    """Orientation-aware quantile fit.
-
-    For censored losses on right-censored data, fits the net on the
-    negated (left-censored) datasets at level 1 - theta and returns the
-    result with a MirrorWrapper net, so predictions are already mirrored
-    back. The censorship-unaware tilted loss trains directly either way.
-    """
-    if loss_kind == "censored_nll" and train.side == "right":
-        result = fit(net, loss_kind, train.mirrored(), val.mirrored(), cfg, theta=1.0 - theta)
-        result.net = MirrorWrapper(result.net)
-        result.theta = theta
-        result.mirrored = True
-        return result
-    return fit(net, loss_kind, train, val, cfg, theta=theta)
 
 
 def fit_with_lr_grid(net_factory, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
@@ -261,7 +255,7 @@ def fit_with_lr_grid(net_factory, loss_kind, train, val, cfg: TrainConfig, theta
     diagnostics = {}
     for lr in sorted(cfg.lr_grid):
         try:
-            result = fit_quantile(net_factory(), loss_kind, train, val, replace(cfg, learning_rate=lr), theta)
+            result = fit(net_factory(), loss_kind, train, val, replace(cfg, learning_rate=lr), theta)
         except NonFiniteLossError as exc:
             diagnostics[lr] = str(exc)
             continue

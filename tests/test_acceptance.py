@@ -135,46 +135,28 @@ def test_criterion_5_table3(t3_run):
     assert report(5, ok, detail)
 
 
-LOSS_FD_SEEDS = {"tilted": 101, "censored_nll": 202, "tobit": 303}
-
-
 def _loss_fd_configs(kind, n_configs=100):
-    rng = np.random.default_rng(LOSS_FD_SEEDS[kind])
+    from gradcheck import loss_fd_draws
+
     h = 1e-6
-    done = 0
-    while done < n_configs:
-        n = 8
-        theta = rng.uniform(0.03, 0.97)
+    for done, c in enumerate(loss_fd_draws(kind, n_configs)):
+        y, q, theta = c["y"], c["q"], c["theta"]
         if kind == "tilted":
-            y = rng.normal(size=n)
-            q = rng.normal(size=n)
-            if np.any(np.abs(y - q) < 1e-4):
-                continue
             grad = -losses.tilted_loss_subgrad(y - q, theta)
             full = lambda qq: float(np.sum(losses.tilted_loss(y - qq, theta)))
         elif kind == "censored_nll":
-            y = rng.normal(size=n)
-            tau = y - rng.uniform(0.3, 2.0, size=n)
-            q = rng.normal(scale=1.5, size=n)
-            if np.any(np.abs(q - tau) < 1e-4) or np.any(np.abs(q - y) < 1e-4):
-                continue
+            tau = c["tau"]
             grad = losses.censored_qr_nll_grad(y, tau, q, theta)
             full = lambda qq: losses.censored_qr_nll(y, tau, qq, theta)
         else:
-            mu = rng.normal(scale=1.5, size=n)
-            y = mu + rng.normal(size=n)
-            cens = rng.random(n) < 0.4
-            sigma = rng.uniform(0.6, 1.8)
-            side = "lower" if rng.random() < 0.5 else "upper"
-            q = mu
+            cens, sigma, side = c["censored"], c["sigma"], c["side"]
             grad = losses.tobit_nll_grad_mean(y, cens, q, sigma, side)
             full = lambda qq: losses.tobit_nll(y, cens, qq, sigma, side)
-        i = int(rng.integers(n))
-        e = np.zeros(n)
+        i = c["i"]
+        e = np.zeros(len(y))
         e[i] = h
         fd = (full(q + e) - full(q - e)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"
-        done += 1
 
 
 def _family_fd_configs(family, n_configs=100):

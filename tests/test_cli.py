@@ -167,6 +167,33 @@ def test_evaluate_refuses_fits_from_another_split(tmp_path, capsys):
     assert run(["evaluate", "--data", series, "--fits", series_fits, "--out-dir", tmp_path / "e3"]) == 0
 
 
+def test_fit_refuses_to_skip_cells_of_another_split(tmp_path, capsys):
+    """A second fit with another seed into the same directory exits 2 and
+    leaves the first seed's cells alone; with --force it refits them, so the
+    directory holds one split again."""
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-standard_gaussian.csv"
+    fits = tmp_path / "fits"
+    common = ["fit", "--data", data, "--thetas", "0.05,0.95", "--learning-rate", 0.01, "--max-epochs", 50,
+              "--out-dir", fits]
+    assert run(common + ["--models", "c-linear", "--seed", 1]) == 0
+    before = {p.name: p.read_bytes() for p in fits.iterdir()}
+    capsys.readouterr()
+    assert run(common + ["--models", "c-linear,tl-linear", "--seed", 2]) == 2
+    err = capsys.readouterr().err
+    assert "--seed 1" in err and "--seed 2" in err
+    assert {p.name: p.read_bytes() for p in fits.iterdir()} == before
+    # a cell that records no split is another split too
+    cell = fits / "fit-c-linear-theta0.05.json"
+    doc = json.loads(cell.read_text())
+    del doc["test_split_sha256"]
+    cell.write_text(json.dumps(doc))
+    assert run(common + ["--models", "c-linear", "--seed", 1]) == 2
+    assert run(common + ["--models", "c-linear,tl-linear", "--seed", 2, "--force"]) == 0
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 2, "--out-dir", tmp_path / "e2"]) == 0
+
+
 def test_fit_rejects_tampered_dataset_csv(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "heteroskedastic", "--n", 300,

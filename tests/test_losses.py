@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cqrnet.datagen import CensoredDataset
 from cqrnet.losses import (
+    TRAINING_LOSSES,
     censored_qr_nll,
     censored_qr_nll_grad,
     tilted_loss,
@@ -15,6 +17,9 @@ from cqrnet.losses import (
     tobit_nll_grad_log_sigma,
     tobit_nll_grad_mean,
 )
+from cqrnet.models import TobitNet
+
+from gradcheck import loss_fd_draws
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 thetas = st.floats(min_value=1e-6, max_value=1 - 1e-6)
@@ -215,3 +220,41 @@ def test_tobit_log_sigma_gradient_matches_fd(side):
         ) / (2 * h)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
+
+
+# -- training objectives -----------------------------------------------------
+
+@pytest.mark.parametrize("kind, learned_scale", [
+    ("tilted", False), ("censored_nll", False), ("tobit", False), ("tobit", True),
+])
+def test_training_loss_gradients_match_fd(kind, learned_scale):
+    """Each object in TRAINING_LOSSES, on criterion 6's draws: dpred and a
+    learned Tobit scale's log_sigma gradient against central differences of
+    the object's own train mean (the same rows also serve as validation rows)."""
+    h = 1e-6
+    for done, c in enumerate(loss_fd_draws(kind)):
+        y, q, i = c["y"], c["q"], c["i"]
+        ds = CensoredDataset(X=np.ones((y.size, 1)), y=y, tau=c.get("tau", y),
+                             censored=c.get("censored", np.zeros(y.size, dtype=bool)),
+                             side="right" if c.get("side") == "upper" else "left")
+        net = TobitNet(1, sigma=c["sigma"], estimate_sigma=learned_scale) if kind == "tobit" else None
+        loss = TRAINING_LOSSES[kind](ds, ds, c["theta"], net)
+
+        def train_mean(preds):
+            return loss(np.concatenate([preds, q]))[0]
+
+        _, _, dpred, grads = loss(np.concatenate([q, q]))
+        e = np.zeros(y.size)
+        e[i] = h
+        fd = (train_mean(q + e) - train_mean(q - e)) / (2 * h)
+        assert dpred[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"
+        assert list(grads) == (["log_sigma"] if learned_scale else [])
+        if learned_scale:
+            log_sigma = net.params["log_sigma"]
+            net.params["log_sigma"] = log_sigma + h
+            up = train_mean(q)
+            net.params["log_sigma"] = log_sigma - h
+            down = train_mean(q)
+            net.params["log_sigma"] = log_sigma
+            fd = (up - down) / (2 * h)
+            assert grads["log_sigma"][0] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"

@@ -275,6 +275,14 @@ def test_init_lstm_recurrent_scaling():
     assert net.params["w_x"].std() == pytest.approx(1.0, rel=0.2)
 
 
+@pytest.mark.parametrize("scheme", ["ones", "standard_normal"])
+def test_init_keeps_a_learned_tobit_scale_at_the_constructor_sigma(scheme):
+    net = init_weights(TobitNet(2, sigma=2.0, estimate_sigma=True), scheme, seed=0)
+    assert net.params["log_sigma"].tolist() == [np.log(2.0)]
+    fixed = init_weights(TobitNet(2, sigma=2.0), scheme, seed=0)
+    assert np.array_equal(net.params["beta"], fixed.params["beta"])
+
+
 def test_init_unknown_scheme():
     with pytest.raises(ValueError):
         init_weights(LinearQuantileNet(2), "zeros")
@@ -300,10 +308,15 @@ def test_mirror_twice_is_identity():
     assert np.max(np.abs(double.forward(X) - inner.forward(X))) < 1e-12
 
 
+# quantile levels of at most 12 decimals, the precision the mirror keeps exactly
+levels = st.integers(1, 10**12 - 1).map(lambda k: float(f"0.{k:012d}"))
+
+
 @st.composite
 def datasets(draw):
     """Unvalidated datasets of any side: the mirror only negates, so every
-    float (NaN thresholds included) must come back unchanged."""
+    float (NaN thresholds included) and every quantile level must come back
+    unchanged."""
     n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     floats = st.floats(allow_nan=False, width=64)
     return CensoredDataset(
@@ -313,6 +326,8 @@ def datasets(draw):
         censored=draw(arrays(np.bool_, n)),
         side=draw(st.sampled_from(["left", "right"])),
         y_star=draw(st.none() | arrays(np.float64, n, elements=floats)),
+        true_quantiles=draw(st.dictionaries(
+            st.sampled_from([0.05, 0.5, 0.95]) | levels, arrays(np.float64, n, elements=floats), max_size=3)),
     )
 
 
@@ -327,6 +342,8 @@ def test_mirroring_a_dataset_twice_gives_it_back_bit_for_bit(ds):
     for name in ("X", "y", "tau", "censored", "y_star"):
         want, got = getattr(ds, name), getattr(back, name)
         assert (got is None) if want is None else same_bits(got, want)
+    assert list(back.true_quantiles) == list(ds.true_quantiles)
+    assert all(same_bits(back.true_quantiles[t], v) for t, v in ds.true_quantiles.items())
 
 
 class _Recorder:
@@ -353,17 +370,28 @@ def test_mirror_does_not_train_directly():
 # -- serialization -----------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: LinearQuantileNet(4, activation="elu"),
-    lambda: RegularizedLinearNet(4, dropout_rate=0.2, l2_coeff=1e-3),
-    lambda: StackedUnitNet(4, units=2, activation="relu"),
-    lambda: LstmQuantileNet(lags=3, hidden_size=2),
+    lambda: (LinearQuantileNet, dict(dim=4, activation="elu")),
+    lambda: (RegularizedLinearNet, dict(dim=4, activation="elu", dropout_rate=0.3, l2_coeff=0.05)),
+    lambda: (StackedUnitNet, dict(dim=4, units=2, activation="relu", l2_coeff=0.01)),
+    lambda: (LstmQuantileNet, dict(lags=3, hidden_size=2, output_bias=False, intercept_column=False)),
+    lambda: (TobitNet, dict(dim=4, sigma=2.0, estimate_sigma=True)),
 ])
 def test_serialization_round_trip(make):
+    """The saved config is the constructor's keyword arguments, and the
+    reloaded net, like a pickled one, computes the same bits."""
+    import json
+    import pickle
+
+    cls, kwargs = make()
     rng = np.random.default_rng(10)
-    net = init_weights(make(), "standard_normal", seed=12)
-    X = np.column_stack([np.ones(5), rng.normal(size=(5, 3))])
-    clone = net_from_dict(net.to_dict())
-    assert np.allclose(net.forward(X), clone.forward(X))
+    net = init_weights(cls(**kwargs), "standard_normal", seed=12)
+    X = np.column_stack([np.ones(5), rng.normal(size=(5, net.dim - 1))])
+    doc = json.loads(json.dumps(net.to_dict()))
+    assert doc["config"] == kwargs
+    clone = net_from_dict(doc)
+    assert type(clone) is cls
+    assert same_bits(clone.forward(X), net.forward(X))
+    assert same_bits(pickle.loads(pickle.dumps(net)).forward(X), net.forward(X))
 
 
 def test_mirror_serialization_round_trip():

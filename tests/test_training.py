@@ -19,7 +19,6 @@ from cqrnet.training import (
     _adam_step,
     _adam_step_scalar,
     fit,
-    fit_quantile,
     fit_with_lr_grid,
     impute_thresholds,
     select_initialization,
@@ -128,11 +127,21 @@ def test_fit_requires_theta_for_quantile_losses():
         fit(init_weights(LinearQuantileNet(3), "ones"), "tilted", ds, ds, TrainConfig())
 
 
-def test_fit_rejects_wrong_orientation():
+def test_fit_mirrors_right_censored_data():
+    """`fit` takes right-censored data under the censored NLL through the
+    mirror; the loss object itself still refuses it, and a missing level is
+    the loss's ValueError, not arithmetic on None."""
+    from cqrnet.losses import CensoredQrLoss
+
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 60, 2)).mirrored()
     net = init_weights(LinearQuantileNet(3), "ones")
-    with pytest.raises(ValueError):
-        fit(net, "censored_nll", ds, ds, TrainConfig(), theta=0.5)
+    result = fit(net.copy(), "censored_nll", ds, ds, TrainConfig(max_epochs=20), theta=0.3)
+    assert isinstance(result.net, MirrorWrapper) and result.mirrored and result.theta == 0.3
+    assert not isinstance(result.net.inner, MirrorWrapper)
+    with pytest.raises(ValueError, match="left-censored"):
+        CensoredQrLoss(ds, ds, 0.5, net)
+    with pytest.raises(ValueError, match="quantile level"):
+        fit(net.copy(), "censored_nll", ds, ds, TrainConfig())
 
 
 def test_fit_aborts_on_non_finite_loss():
@@ -225,8 +234,8 @@ def test_mirror_fit_matches_direct_fit_on_negated_benchmark():
 
     direct = fit(init_weights(LinearQuantileNet(3), "ones"), "censored_nll",
                  train, val, cfg, theta=0.05)
-    mirrored = fit_quantile(init_weights(LinearQuantileNet(3), "ones"), "censored_nll",
-                            train.mirrored(), val.mirrored(), cfg, theta=0.95)
+    mirrored = fit(init_weights(LinearQuantileNet(3), "ones"), "censored_nll",
+                   train.mirrored(), val.mirrored(), cfg, theta=0.95)
     assert isinstance(mirrored.net, MirrorWrapper)
     assert mirrored.mirrored
     got = mirrored.net.forward(test.mirrored().X)

@@ -31,7 +31,7 @@ from cqrnet.models import (
     init_weights,
 )
 from cqrnet.tobit import TobitNet
-from cqrnet.training import NonFiniteLossError, TrainConfig, fit, fit_quantile
+from cqrnet.training import NonFiniteLossError, TrainConfig, fit
 
 
 def reference_fit(net, loss_kind, train, val, cfg, theta=None):
@@ -153,7 +153,7 @@ def test_mirrored_fit_matches_reference_loop():
     cfg = TrainConfig(learning_rate=0.05, clip_norm=0.5, patience=8, max_epochs=150, seed=3)
     net = init_weights(LinearQuantileNet(4, activation="elu"), "standard_normal", seed=3)
     want = reference_fit(net.copy(), "censored_nll", train.mirrored(), val.mirrored(), cfg, 1.0 - 0.8)
-    got = fit_quantile(net, "censored_nll", train, val, cfg, 0.8)
+    got = fit(net, "censored_nll", train, val, cfg, 0.8)
     assert got.mirrored and got.theta == 0.8
     assert got.train_trace == want["train_trace"]
     assert got.val_trace == want["val_trace"]
