@@ -22,13 +22,11 @@ from .datagen import (
     lag_features,
     latent_quantile,
     split,
-    true_quantile,
     zero_quantile_fraction,
 )
 from .losses import (
     censored_qr_nll,
     censored_qr_nll_grad,
-    std_normal_quantile,
     tilted_loss,
     tilted_loss_subgrad,
     tobit_nll,
@@ -44,6 +42,7 @@ from .models import (
     init_weights,
     net_from_dict,
 )
+from .normal import std_normal_quantile
 from .tobit import tobit_fit
 from .training import (
     FitResult,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, datagen, metrics
 from .experiments import MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name
-from .models import TobitNet, net_from_dict
+from .models import net_from_dict
 from .training import TrainConfig, impute_thresholds, train_mean_ratio
 
 INTERVAL_LOW, INTERVAL_HIGH = 0.05, 0.95
@@ -232,10 +232,7 @@ def cmd_fit(args, parser):
 # evaluate
 
 def _predict_cell(doc, test):
-    net = net_from_dict(doc["net"])
-    if isinstance(net, TobitNet):
-        return net.quantile(test.X, float(doc["theta"]))
-    return net.forward(test.X)
+    return net_from_dict(doc["net"]).quantile(test.X, float(doc["theta"]))
 
 
 def cmd_evaluate(args, parser):
@@ -260,7 +257,11 @@ def cmd_evaluate(args, parser):
     if not fits:
         parser.error(f"no fit-*.json results under {args.fits}")
 
-    subsets = list(metrics.SUBSETS) if args.subset == "both" else [args.subset]
+    subsets, skipped = [args.subset], []
+    if args.subset == "both":
+        # fleet censorship censors every row: an empty subset is listed, not scored
+        skipped = ["non_censored_test"] if test.censored.all() else []
+        subsets = [s for s in metrics.SUBSETS if s not in skipped]
     rows, reports = [], {}
     for model in sorted({m for m, _ in fits}):
         thetas = sorted(t for m, t in fits if m == model)
@@ -294,7 +295,7 @@ def cmd_evaluate(args, parser):
     config = {"data": args.data, "fits": args.fits, "subset": args.subset,
               "mixture_compat": args.mixture_compat}
     _manifest(os.path.join(args.out_dir, "evaluate-manifest.json"), "evaluate", args, config,
-              [csv_path, json_path])
+              [csv_path, json_path], {"skipped_subsets": skipped})
     print(f"wrote {csv_path} and {json_path} ({len(rows)} rows)")
     return 0
 
@@ -351,8 +352,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (stage seeds derive from it)")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for independent cells")
-        p.add_argument("--force", action="store_true", help="recompute cells even if outputs exist")
         p.add_argument("--config", help="JSON config file; explicit CLI flags override it")
 
     g = subparsers["generate"] = sub.add_parser("generate", help="write dataset CSVs plus a manifest")
@@ -372,6 +371,8 @@ def build_parser():
 
     f = subparsers["fit"] = sub.add_parser("fit", help="fit model cells on a generated dataset")
     common(f)
+    f.add_argument("--jobs", type=int, default=1, help="worker processes for independent cells")
+    f.add_argument("--force", action="store_true", help="refit cells even if outputs exist")
     f.add_argument("--data", required=True, help="dataset CSV from `generate`")
     f.add_argument("--models", default="tl-linear,c-linear,c-elu")
     f.add_argument("--thetas", default="0.05,0.5,0.95")
@@ -389,13 +390,15 @@ def build_parser():
     common(e)
     e.add_argument("--data", required=True)
     e.add_argument("--fits", required=True, help="directory with fit-*.json results")
-    e.add_argument("--subset", choices=["all_test", "non_censored_test", "both"], default="both")
+    e.add_argument("--subset", choices=["all_test", "non_censored_test", "both"], default="both",
+                   help="both skips a subset with no rows and lists it in the manifest")
     e.add_argument("--mixture-compat", action="store_true",
                    help="score mixture data against the single-Gaussian closed form")
     e.set_defaults(func=cmd_evaluate)
 
     r = subparsers["replicate"] = sub.add_parser("replicate", help="self-contained table replication")
     common(r)
+    r.add_argument("--jobs", type=int, default=1, help="worker processes for the t4-synthetic cells")
     r.add_argument("table", choices=sorted(TABLES))
     r.add_argument("--replicates", type=int, default=None)
     r.add_argument("--n-seeds", type=int, default=None, help="t1 only")

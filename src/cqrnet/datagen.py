@@ -34,7 +34,6 @@ __all__ = [
     "TripTable",
     "gen_synthetic",
     "latent_quantile",
-    "true_quantile",
     "attach_latent_quantiles",
     "zero_quantile_fraction",
     "censor_partial",
@@ -228,11 +227,6 @@ def latent_quantile(noise, theta, X, mixture_compat=False):
     if mixture_compat:
         return m + MIXTURE_COMPAT_SCALE * std_normal_quantile(theta)
     return m + mixture_quantile(theta)
-
-
-def true_quantile(noise, theta, X, mixture_compat=False):
-    """q_theta(y|x) = max(0, q_theta(y*|x)): the observable quantile."""
-    return np.maximum(0.0, latent_quantile(noise, theta, X, mixture_compat))
 
 
 def attach_latent_quantiles(ds, noise, thetas, mixture_compat=False):

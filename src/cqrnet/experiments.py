@@ -178,6 +178,17 @@ def _verdict(check, passed, detail):
     return {"check": check, "passed": bool(passed), "detail": detail}
 
 
+def _aggregate(scores, stats):
+    """Per key of the (key, values) `scores`, in first-seen order: for each
+    (column, reduce) of `stats`, reduce (np.mean, say) over the key's values
+    in that column, as a Python number."""
+    by_key = {}
+    for key, values in scores:
+        by_key.setdefault(key, []).append(values)
+    return {key: tuple(reduce([v[i] for v in rows]).item() for i, reduce in stats)
+            for key, rows in by_key.items()}
+
+
 def run_t1(master_seed=0, n_seeds=20, n=1000) -> TableRun:
     """Percent of zero observable quantiles per noise and theta.
 
@@ -236,8 +247,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
     compatibility quantile) on the test set and its non-censored subset.
     """
     cfg = TrainConfig(learning_rate=0.01)
-    raw = []
-    acc = {}
+    raw, scores = [], []
     for noise in datagen.NOISES:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t2", noise, "data", rep)
@@ -260,18 +270,10 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
                         rep_report = metrics.subset_report(
                             test, subset, preds=preds, true_quantiles=truth
                         )
-                        key = (noise, theta, model, subset)
-                        acc.setdefault(key, []).append(
-                            (rep_report.r2, rep_report.mae, rep_report.rmse)
-                        )
-                        raw.append(
-                            [noise, theta, model, subset, rep,
-                             repr(rep_report.r2), repr(rep_report.mae), repr(rep_report.rmse)]
-                        )
-    cells = {
-        key: tuple(float(np.mean([v[i] for v in vals])) for i in range(3))
-        for key, vals in acc.items()
-    }
+                        values = (rep_report.r2, rep_report.mae, rep_report.rmse)
+                        scores.append(((noise, theta, model, subset), values))
+                        raw.append([noise, theta, model, subset, rep, *map(repr, values)])
+    cells = _aggregate(scores, ((0, np.mean), (1, np.mean), (2, np.mean)))
 
     verdicts = []
     if zero_noise:
@@ -359,8 +361,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
 def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
     """Parametric Tobit vs censored quantile pair, ICP / MIL."""
     cfg = TrainConfig(learning_rate=0.01)
-    raw = []
-    acc = {}
+    raw, scores = [], []
     for noise in datagen.NOISES:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t3", noise, "data", rep)
@@ -375,16 +376,9 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             for model, (lo, hi) in (("tobit", (tob_lo, tob_hi)), ("c-linear", (cqr_lo, cqr_hi))):
                 for subset in metrics.SUBSETS:
                     rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
-                    acc.setdefault((noise, model, subset), []).append((rp.icp, rp.mil, rp.n_crossed))
+                    scores.append(((noise, model, subset), (rp.icp, rp.mil, rp.n_crossed)))
                     raw.append([noise, model, subset, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed])
-    cells = {
-        key: (
-            float(np.mean([v[0] for v in vals])),
-            float(np.mean([v[1] for v in vals])),
-            int(np.sum([v[2] for v in vals])),
-        )
-        for key, vals in acc.items()
-    }
+    cells = _aggregate(scores, ((0, np.mean), (1, np.mean), (2, np.sum)))
 
     verdicts = []
     for noise in datagen.NOISES:
@@ -510,20 +504,11 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
         for rep in range(replicates)
         for model in models
     ]
-    raw = []
-    acc = {}
+    raw, scores = [], []
     for model, alpha, rep, icp, mil in _map_tasks(_t4_cell, tasks, jobs):
-        acc.setdefault((model, alpha), []).append((icp, mil))
+        scores.append(((model, alpha), (icp, mil)))
         raw.append([model, alpha, rep, repr(icp), repr(mil)])
-    cells = {
-        key: (
-            float(np.mean([v[0] for v in vals])),
-            float(np.std([v[0] for v in vals])),
-            float(np.mean([v[1] for v in vals])),
-            float(np.std([v[1] for v in vals])),
-        )
-        for key, vals in acc.items()
-    }
+    cells = _aggregate(scores, ((0, np.mean), (0, np.std), (1, np.mean), (1, np.std)))
 
     verdicts = []
     for model in models:
@@ -594,8 +579,7 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
     """
     cfg = TrainConfig()
     series = datagen.bundled_daily_series(n_days, seed=child_seed(master_seed, "bike", "series"))
-    raw = []
-    acc = {}
+    raw, scores = [], []
     for gamma in gammas:
         for cr in c_ranges:
             for rep in range(replicates):
@@ -632,15 +616,12 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     hi = pair[INTERVAL_PAIR[1]].predict(test.X)
                     for subset in metrics.SUBSETS:
                         rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
-                        acc.setdefault((model, gamma, cr, subset), []).append((rp.icp, rp.mil))
+                        scores.append(((model, gamma, cr, subset), (rp.icp, rp.mil)))
                         raw.append(
                             [model, gamma, cr[0], cr[1], subset, rep,
                              repr(rp.icp), repr(rp.mil), int(fallback)]
                         )
-    cells = {
-        key: (float(np.mean([v[0] for v in vals])), float(np.mean([v[1] for v in vals])))
-        for key, vals in acc.items()
-    }
+    cells = _aggregate(scores, ((0, np.mean), (1, np.mean)))
 
     verdicts = []
     if "tl-linear" in models and "c-linear" in models:
@@ -692,4 +673,5 @@ TABLES = {
     "t2": run_t2,
     "t3": run_t3,
     "t4-synthetic": run_t4,
+    "bike": run_bike_protocol,
 }

@@ -1,4 +1,4 @@
-"""Loss functions and their (sub)gradients.
+"""Loss functions and their (sub)gradients, each written once.
 
 Conventions
 -----------
@@ -13,9 +13,14 @@ Conventions
   "lower" uses Phi for censored rows (latent below the threshold),
   "upper" uses 1 - Phi.
 
-All functions are pure and operate on numpy arrays (or scalars where
-noted); gradients are exact almost everywhere, with documented tie
-breaks at the kinks.
+Each formula is one private kernel: the tilted value and subgradient, the
+censored clamp and its gradient, and the Tobit per-row log-likelihood with
+its mean and log-sigma gradients. The training objectives in
+`TRAINING_LOSSES`, which `training.fit` calls once per epoch, run these
+kernels; so do the public functions, which are validating views of one
+set of rows (elementwise or summed, at a fixed level and scale).
+Gradients are exact almost everywhere, with documented tie breaks at the
+kinks.
 """
 
 from __future__ import annotations
@@ -24,13 +29,7 @@ import math
 
 import numpy as np
 
-from .normal import (
-    normal_cdf,
-    normal_log_pdf,
-    normal_pdf,
-    normal_survival,
-    std_normal_quantile,
-)
+from .normal import normal_cdf, normal_log_pdf, normal_pdf, normal_survival
 
 __all__ = [
     "tilted_loss",
@@ -39,8 +38,7 @@ __all__ = [
     "censored_qr_nll_grad",
     "tobit_nll",
     "tobit_nll_grad_mean",
-    "tobit_nll_grad_log_sigma",
-    "std_normal_quantile",
+    "TRAINING_LOSSES",
 ]
 
 # Floor for the censored-side probability before taking its log; keeps the
@@ -55,26 +53,6 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _tilted(r, theta):
-    return np.maximum(theta * r, (theta - 1.0) * r)
-
-
-def _tilted_subgrad(r, theta):
-    return np.where(r >= 0.0, theta, theta - 1.0)
-
-
-def tilted_loss(r, theta):
-    """rho_theta(r) = max(theta*r, (theta-1)*r), elementwise."""
-    out = _tilted(np.asarray(r, dtype=float), _check_theta(theta))
-    return float(out) if out.ndim == 0 else out
-
-
-def tilted_loss_subgrad(r, theta):
-    """d rho_theta / d r; the kink at r = 0 takes the upper branch (theta)."""
-    out = _tilted_subgrad(np.asarray(r, dtype=float), _check_theta(theta))
-    return float(out) if out.ndim == 0 else out
-
-
 def _as_1d(name, x, n=None):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -84,58 +62,27 @@ def _as_1d(name, x, n=None):
     return x
 
 
-# The underscored kernels below take arguments that were already validated;
-# the training objectives at the end of this module validate once per fit.
+# -- kernels: arguments already validated -------------------------------------
 
-def censored_qr_nll(y, tau, preds, theta):
-    """Negative log-likelihood of the censored quantile model (summed).
-
-    sum_i rho_theta(y_i - max(tau_i, qhat_i)).
-    """
-    theta = _check_theta(theta)
-    y = _as_1d("y", y)
-    if y.shape[0] < 1:
-        raise ValueError("need at least one observation")
-    tau = _as_1d("tau", tau, y.shape[0])
-    preds = _as_1d("preds", preds, y.shape[0])
-    return float(_tilted(y - np.maximum(tau, preds), theta).sum())
+def _tilted(r, theta):
+    return np.maximum(theta * r, (theta - 1.0) * r)
 
 
-def censored_qr_nll_grad(y, tau, preds, theta):
-    """d NLL / d qhat_i for the summed censored quantile NLL.
-
-    Rows with qhat < tau are clamped and carry no gradient; the tie
-    qhat == tau passes gradient through the prediction branch.
-    """
-    theta = _check_theta(theta)
-    y = _as_1d("y", y)
-    tau = _as_1d("tau", tau, y.shape[0])
-    preds = _as_1d("preds", preds, y.shape[0])
-    return np.where(preds < tau, 0.0, -_tilted_subgrad(y - preds, theta))
+def _tilted_grad(r, upper, lower):
+    """rho'(r) times a scale: `upper` = theta * scale where r >= 0 (the kink
+    takes the upper branch), `lower` = (theta - 1) * scale elsewhere."""
+    return np.where(r >= 0.0, upper, lower)
 
 
-def _check_sigma(sigma) -> float:
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return sigma
+def _clamped_residual(y, tau, preds):
+    return y - np.maximum(tau, preds)
 
 
-def _check_tobit_data(y, censored):
-    y = _as_1d("y", y)
-    censored = np.asarray(censored, dtype=bool)
-    if censored.shape != y.shape:
-        raise ValueError("censored flags must match y")
-    return y, censored
-
-
-def _tobit_args(y, censored, means, sigma, side):
-    """Validate, then (censored, r, z, prob, sigma, side) as the kernels take them."""
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    sigma = _check_sigma(sigma)
-    y, censored = _check_tobit_data(y, censored)
-    return (censored, *_tobit_z(y, _as_1d("means", means, y.shape[0]), sigma, side), sigma, side)
+def _clamped_grad(tau, preds, grad):
+    """Rows clamped at their threshold (qhat < tau) carry no gradient; the
+    tie qhat == tau passes `grad` through the prediction branch. Where
+    qhat >= tau the clamped residual is y - qhat."""
+    return np.where(preds < tau, 0.0, grad)
 
 
 def _tobit_z(y, means, sigma, side):
@@ -161,6 +108,66 @@ def _tobit_grads(censored, r, z, prob, sigma, side, log_sigma=True):
     return grad_mean, float(np.where(censored, z * spdf / prob, 1.0 - z * z).sum())
 
 
+# -- public views: validate, then run the kernels -----------------------------
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
+def tilted_loss(r, theta):
+    """rho_theta(r) = max(theta*r, (theta-1)*r), elementwise."""
+    return _scalar_or_array(_tilted(np.asarray(r, dtype=float), _check_theta(theta)))
+
+
+def tilted_loss_subgrad(r, theta):
+    """d rho_theta / d r; the kink at r = 0 takes the upper branch (theta)."""
+    theta = _check_theta(theta)
+    return _scalar_or_array(_tilted_grad(np.asarray(r, dtype=float), theta, theta - 1.0))
+
+
+def _censored_rows(y, tau, preds, theta):
+    """Validated (tau, preds, clamped residual, theta) of one set of rows."""
+    theta = _check_theta(theta)
+    y = _as_1d("y", y)
+    if y.shape[0] < 1:
+        raise ValueError("need at least one observation")
+    tau, preds = _as_1d("tau", tau, y.shape[0]), _as_1d("preds", preds, y.shape[0])
+    return tau, preds, _clamped_residual(y, tau, preds), theta
+
+
+def censored_qr_nll(y, tau, preds, theta):
+    """Negative log-likelihood of the censored quantile model (summed).
+
+    sum_i rho_theta(y_i - max(tau_i, qhat_i)).
+    """
+    _, _, r, theta = _censored_rows(y, tau, preds, theta)
+    return float(_tilted(r, theta).sum())
+
+
+def censored_qr_nll_grad(y, tau, preds, theta):
+    """d NLL / d qhat_i for the summed censored quantile NLL.
+
+    Rows with qhat < tau are clamped and carry no gradient; the tie
+    qhat == tau passes gradient through the prediction branch.
+    """
+    tau, preds, r, theta = _censored_rows(y, tau, preds, theta)
+    return _clamped_grad(tau, preds, _tilted_grad(r, -theta, 1.0 - theta))
+
+
+def _tobit_rows(y, censored, means, sigma, side):
+    """Validated (censored, r, z, prob, sigma) of one set of rows."""
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    y = _as_1d("y", y)
+    censored = np.asarray(censored, dtype=bool)
+    if censored.shape != y.shape:
+        raise ValueError("censored flags must match y")
+    return censored, *_tobit_z(y, _as_1d("means", means, y.shape[0]), sigma, side), sigma
+
+
 def tobit_nll(y, censored, means, sigma, side="lower"):
     """Tobit negative log-likelihood with fixed sigma (summed).
 
@@ -169,18 +176,13 @@ def tobit_nll(y, censored, means, sigma, side="lower"):
     censorship or -log(1 - Phi(z)) for upper. The censored-side
     probability is floored at 1e-300 before the log.
     """
-    censored, _, z, prob, sigma, _ = _tobit_args(y, censored, means, sigma, side)
+    censored, _, z, prob, sigma = _tobit_rows(y, censored, means, sigma, side)
     return float(-_tobit_ll_rows(censored, z, prob, sigma).sum())
 
 
 def tobit_nll_grad_mean(y, censored, means, sigma, side="lower"):
     """d NLL / d mu_i for the summed Tobit NLL."""
-    return _tobit_grads(*_tobit_args(y, censored, means, sigma, side), log_sigma=False)[0]
-
-
-def tobit_nll_grad_log_sigma(y, censored, means, sigma, side="lower"):
-    """d NLL / d log(sigma), for joint scale estimation."""
-    return _tobit_grads(*_tobit_args(y, censored, means, sigma, side))[1]
+    return _tobit_grads(*_tobit_rows(y, censored, means, sigma, side), side, log_sigma=False)[0]
 
 
 # -- training objectives ------------------------------------------------------
@@ -225,7 +227,7 @@ class TiltedLoss(_QuantileLoss):
 
     def __call__(self, preds):
         r = self.y - preds
-        dpred = np.where(r[: self.n] >= 0.0, self._dpred_upper, self._dpred_lower)
+        dpred = _tilted_grad(r[: self.n], self._dpred_upper, self._dpred_lower)
         return *self._means(_tilted(r, self.theta)), dpred, {}
 
 
@@ -242,12 +244,9 @@ class CensoredQrLoss(_QuantileLoss):
             raise ValueError("dataset has unimputed thresholds (NaN tau)")
 
     def __call__(self, preds):
-        # where qhat >= tau, max(tau, qhat) == qhat: the clamped residual is
-        # y - qhat on every row whose gradient is not zeroed
         n = self.n
-        r = self.y - np.maximum(self.tau, preds)
-        dpred = np.where(preds[:n] < self.tau[:n], 0.0,
-                         np.where(r[:n] >= 0.0, self._dpred_upper, self._dpred_lower))
+        r = _clamped_residual(self.y, self.tau, preds)
+        dpred = _clamped_grad(self.tau[:n], preds[:n], _tilted_grad(r[:n], self._dpred_upper, self._dpred_lower))
         return *self._means(_tilted(r, self.theta)), dpred, {}
 
 
@@ -261,7 +260,9 @@ class TobitLoss(_TrainingLoss):
 
     def __init__(self, train, val, theta, net):
         super().__init__(train, val)
-        self.y, self.censored = _check_tobit_data(self.y, np.concatenate([train.censored, val.censored]))
+        self.censored = np.concatenate([train.censored, val.censored]).astype(bool)
+        if self.censored.shape != self.y.shape:
+            raise ValueError("censored flags must match y")
         self.side = "lower" if train.side == "left" else "upper"
         self._net = net
         self._learned = "log_sigma" in net.params

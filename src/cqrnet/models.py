@@ -22,6 +22,8 @@ Families
   negated, left-censored dataset at level 1 - theta and returns it wrapped.
 
 All nets share the same contract: `forward(X)` for evaluation,
+`quantile(X, theta)` for the estimate at a level (a quantile net's output,
+trained for its one level; Tobit's mean plus its scaled normal quantile),
 `forward_train(X, rng, n_train)` to record the state backprop needs, and
 `backward(dpred)` returning parameter gradients for the summed upstream
 signal. Gradients include the L2 term where applicable.
@@ -116,6 +118,10 @@ class _Net:
         """Outputs for every row of X; the first `n_train` (all by default) are recorded."""
         X = self._check(X)
         return self._pass(X, X.shape[0] if n_train is None else n_train)
+
+    def quantile(self, X, theta):
+        """Outputs at level theta: a quantile net is trained for its one level."""
+        return self.forward(X)
 
     def _check(self, X):
         X = np.asarray(X, dtype=float)
@@ -437,6 +443,8 @@ class TobitNet(LinearQuantileNet):
     def quantile(self, X, theta):
         """q_theta(y*|x) = x . beta + sigma * Phi^{-1}(theta); the interval
         width between two levels is the same for every row."""
+        if theta is None:
+            raise ValueError("a Tobit quantile needs a level theta")
         return self._check(X) @ self.params["beta"] + self.current_sigma() * std_normal_quantile(theta)
 
 

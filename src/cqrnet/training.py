@@ -94,7 +94,8 @@ class FitResult:
         return self.val_trace[self.best_epoch]
 
     def predict(self, X):
-        return self.net.forward(X)
+        """The fitted net's quantile at this fit's theta."""
+        return self.net.quantile(X, self.theta)
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "net": self.net.to_dict()}

@@ -335,3 +335,64 @@ def test_fit_stacked_variant(tmp_path):
                 "--learning-rate", 0.1, "--max-epochs", 300, "--init", "standard_normal",
                 "--seed", 8, "--out-dir", fits]) == 0
     assert (fits / "fit-c-stacked-tanh-1-theta0.5.json").exists()
+
+
+def test_evaluate_skips_the_empty_subset_of_fleet_data(tmp_path, capsys):
+    """Fleet censorship censors every row, so under the default --subset both
+    evaluate scores all_test and lists non_censored_test as skipped; asking
+    for that subset alone still exits 2."""
+    data_dir = tmp_path / "fleet"
+    assert run(["generate", "--censor", "fleet", "--alpha", 0.3, "--n-days", 150, "--seed", 1,
+                "--out-dir", data_dir]) == 0
+    data = data_dir / "censored-fleet.csv"
+    fits = tmp_path / "fits"
+    assert run(["fit", "--data", data, "--models", "c-linear", "--thetas", "0.05,0.95", "--learning-rate", 0.1,
+                "--max-epochs", 200, "--seed", 1, "--out-dir", fits]) == 0
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", out]) == 0
+    assert read_manifest(out / "evaluate-manifest.json")["stats"] == {"skipped_subsets": ["non_censored_test"]}
+    with open(out / "evaluation.csv", newline="") as fh:
+        assert [(r["theta"], r["subset"]) for r in csv.DictReader(fh)] == [("0.05-0.95", "all_test")]
+    capsys.readouterr()
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--subset", "non_censored_test",
+                "--out-dir", tmp_path / "e2"]) == 2
+    assert "non-censored subset is empty" in capsys.readouterr().err
+
+
+def test_jobs_and_force_only_on_the_subcommands_that_act_on_them(tmp_path):
+    generate = ["generate", "--synthetic", "standard_gaussian", "--n", 20, "--out-dir", tmp_path / "g"]
+    evaluate = ["evaluate", "--data", tmp_path / "none.csv", "--fits", tmp_path, "--out-dir", tmp_path / "e"]
+    for argv in (generate + ["--jobs", 8], generate + ["--force"], evaluate + ["--jobs", 2],
+                 evaluate + ["--force"], ["replicate", "t1", "--n-seeds", 1, "--force", "--out-dir", tmp_path / "r"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    with pytest.raises(SystemExit):
+        run(generate + ["--config", cfg])
+    assert run(generate) == 0
+
+
+def test_replicate_bike_runs_the_registered_protocol(tmp_path, monkeypatch):
+    """`replicate bike` calls `experiments.TABLES["bike"]`, the bike protocol
+    (a stand-in here; criterion 9 runs the real one), and writes its outputs."""
+    from cqrnet import experiments
+
+    assert experiments.TABLES["bike"] is experiments.run_bike_protocol
+    calls = []
+
+    def protocol(**kwargs):
+        calls.append(kwargs)
+        return experiments.TableRun(name="bike", columns=["model", "icp"], raw_rows=[["c-linear", "0.9"]],
+                                    cells={"header": ["model"], "rows": [["c-linear"]]},
+                                    verdicts=[{"check": "stand-in", "passed": True, "detail": ""}])
+
+    monkeypatch.setitem(experiments.TABLES, "bike", protocol)
+    out = tmp_path / "rep"
+    assert run(["replicate", "bike", "--replicates", 2, "--seed", 3, "--out-dir", out]) == 0
+    assert calls == [{"master_seed": 3, "replicates": 2}]
+    assert (out / "bike-raw.csv").read_text().splitlines() == ["model,icp", "c-linear,0.9"]
+    manifest = read_manifest(out / "bike-manifest.json")
+    assert manifest["config"]["table"] == "bike"
+    assert manifest["outputs"] == [str(out / f"bike-{s}") for s in ("raw.csv", "table.txt", "verdicts.json")]

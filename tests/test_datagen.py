@@ -1,12 +1,17 @@
 """Generators, censorship schemes, splits, lag features, CSV round trips."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cqrnet import datagen
 from cqrnet.datagen import (
+    CensoredDataset,
     SyntheticSpec,
     apportion,
     attach_latent_quantiles,
@@ -24,7 +29,6 @@ from cqrnet.datagen import (
     save_dataset_csv,
     split,
     split_indices,
-    true_quantile,
     zero_quantile_fraction,
 )
 from cqrnet.normal import mixture_quantile, std_normal_quantile
@@ -90,15 +94,16 @@ def test_mixture_noise_sample_std():
 
 def test_true_quantile_examples():
     X = np.array([[1.0, 1.0, 0.5]])
-    assert true_quantile("standard_gaussian", 0.5, X)[0] == pytest.approx(2.5)
+    assert latent_quantile("standard_gaussian", 0.5, X)[0] == pytest.approx(2.5)
     # heteroskedastic scale vanishes at x2 = -1: quantile equals the mean
     X = np.array([[1.0, 1.0, -1.0]])
     for theta in (0.05, 0.95):
         assert latent_quantile("heteroskedastic", theta, X)[0] == pytest.approx(1.0)
-    # deep lower quantile clamps to zero
-    X = np.array([[1.0, -1.0, -0.5]])
-    assert true_quantile("standard_gaussian", 0.05, X)[0] == 0.0
-    assert latent_quantile("standard_gaussian", 0.05, X)[0] == pytest.approx(-0.5 + Z05)
+    # a deep lower latent quantile is below the clamp: the observable quantile is zero
+    ds = CensoredDataset(X=np.array([[1.0, -1.0, -0.5]]), y=np.zeros(1), tau=np.zeros(1), censored=np.ones(1, bool))
+    attach_latent_quantiles(ds, "standard_gaussian", [0.05])
+    assert ds.true_quantiles[0.05][0] == pytest.approx(-0.5 + Z05)
+    assert zero_quantile_fraction(ds, 0.05) == 1.0
 
 
 def test_latent_quantile_monotone_in_theta():
@@ -327,19 +332,40 @@ def test_validate_rejects_broken_invariants():
 
 # -- CSV ---------------------------------------------------------------------
 
-def test_dataset_csv_round_trip(tmp_path):
-    ds = gen_synthetic(SyntheticSpec("heteroskedastic", 50, 16))
-    path = tmp_path / "ds.csv"
-    save_dataset_csv(ds, path)
-    loaded = load_dataset_csv(path, side="left")
-    assert np.array_equal(loaded.X, ds.X)
-    assert np.array_equal(loaded.y, ds.y)
-    assert np.array_equal(loaded.censored, ds.censored)
-    assert np.array_equal(loaded.y_star, ds.y_star)
-    # byte-identical re-serialization
-    path2 = tmp_path / "ds2.csv"
-    save_dataset_csv(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+@st.composite
+def csv_datasets(draw):
+    """Valid datasets of either side: thresholds below (left) or above (right)
+    the observations, some NaN while awaiting imputation, latents optional."""
+    n, p = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    gaps = arrays(np.float64, n, elements=st.floats(0.0, 1e6))
+    y = draw(arrays(np.float64, n, elements=finite))
+    censored = draw(arrays(np.bool_, n))
+    tau = np.where(censored, y, y - draw(gaps))
+    y_star = np.where(censored, tau - draw(gaps), y) if draw(st.booleans()) else None
+    ds = CensoredDataset(X=np.column_stack([np.ones(n), draw(arrays(np.float64, (n, p), elements=finite))]),
+                         y=y, tau=tau, censored=censored, side="left", y_star=y_star)
+    if draw(st.booleans()):
+        ds = ds.mirrored()
+    ds.tau[draw(arrays(np.bool_, n)) & ~censored] = np.nan
+    return ds
+
+
+@given(csv_datasets())
+@example(gen_synthetic(SyntheticSpec("heteroskedastic", 50, 16)))
+def test_dataset_csv_round_trip(ds):
+    """The CSV text loads back bit for bit, NaN thresholds included, and
+    writes the same text again."""
+    text = datagen.dataset_csv_text(ds)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        loaded = load_dataset_csv(path, side=ds.side)
+    for name in ("X", "y", "tau", "censored", "y_star"):
+        want, got = getattr(ds, name), getattr(loaded, name)
+        assert (got is None) if want is None else (got.dtype == want.dtype and got.tobytes() == want.tobytes()), name
+    assert datagen.dataset_csv_text(loaded) == text
 
 
 def test_dataset_csv_nan_thresholds(tmp_path):

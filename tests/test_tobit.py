@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cqrnet.datagen import CensoredDataset, SyntheticSpec, gen_synthetic, split
-from cqrnet.models import net_from_dict
+from cqrnet.models import LinearQuantileNet, init_weights, net_from_dict
 from cqrnet.normal import std_normal_quantile
 from cqrnet.tobit import TobitNet, tobit_fit
-from cqrnet.training import TrainConfig
+from cqrnet.training import TrainConfig, fit
 
 
 def uncensored_dataset(beta, n, seed, sigma=1.0):
@@ -70,6 +70,21 @@ def test_fit_round_trips_through_net_from_dict(sigma, estimate_sigma):
     assert (clone.current_sigma() != sigma) == estimate_sigma
     for theta in (0.05, 0.5, 0.95):
         assert np.array_equal(clone.quantile(val.X, theta), net.quantile(val.X, theta))
+
+
+def test_fit_result_predicts_the_quantile_at_its_theta():
+    """A Tobit fit predicts its net's quantile at the fit's theta, not the
+    mean; without a theta it has no level to predict. A quantile net's
+    quantile is its output at the one level it was trained for."""
+    train, val = uncensored_dataset([0.5, 1.0], 80, 1), uncensored_dataset([0.5, 1.0], 40, 2)
+    cfg = TrainConfig(learning_rate=0.05, max_epochs=50)
+    result = fit(init_weights(TobitNet(2, sigma=1.5), "ones"), "tobit", train, val, cfg, theta=0.95)
+    assert np.array_equal(result.predict(val.X), result.net.quantile(val.X, 0.95))
+    assert result.predict(val.X) - result.net.forward(val.X) == pytest.approx(1.5 * std_normal_quantile(0.95))
+    with pytest.raises(ValueError, match="theta"):
+        fit(init_weights(TobitNet(2), "ones"), "tobit", train, val, cfg).predict(val.X)
+    result = fit(init_weights(LinearQuantileNet(2), "ones"), "censored_nll", train, val, cfg, theta=0.95)
+    assert np.array_equal(result.predict(val.X), result.net.forward(val.X))
 
 
 def test_fit_without_censoring_matches_least_squares():

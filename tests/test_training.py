@@ -1,7 +1,10 @@
 """Adam loop, early stopping, learning-rate grid, imputation, selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cqrnet.datagen import (
     CensoredDataset,
@@ -271,13 +274,18 @@ def test_impute_ratio_examples():
         assert filled.tau is not data.tau and filled.y is not data.y
 
 
-def test_impute_ratio_scale_invariance():
-    series = np.random.default_rng(20).uniform(10, 30, 200)
-    cs = censor_partial(series, 0.4, 0.2, 0.6, seed=21)
+@given(st.integers(0, 2**32 - 2), st.floats(1e-3, 1e3))
+@example(seed=20, c=7.0)
+def test_impute_ratio_scale_invariance(seed, c):
+    """Scaling y, y* and tau by c > 0 commutes with threshold imputation:
+    the ratio stays and the imputed thresholds scale by c."""
+    series = np.random.default_rng(seed).uniform(10, 30, 200)
+    cs = censor_partial(series, 0.4, 0.2, 0.6, seed=seed + 1)
+    scaled = replace(cs, y=cs.y * c, tau=cs.tau * c, y_star=cs.y_star * c)
     r1 = train_mean_ratio(cs.y_star, cs.y)
-    scaled = censor_partial(series * 7.0, 0.4, 0.2, 0.6, seed=21)
     r2 = train_mean_ratio(scaled.y_star, scaled.y)
     assert r1 == pytest.approx(r2)
+    assert impute_thresholds(r2, scaled).tau == pytest.approx(c * impute_thresholds(r1, cs).tau)
 
 
 def test_impute_zero_mean_errors():

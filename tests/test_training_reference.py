@@ -1,11 +1,13 @@
 """`training.fit` against a plain reference training loop, bit for bit.
 
 The reference keeps the parameters in a dict and updates them key by key
-with Adam, calls the public loss value and gradient functions separately,
-and sums the clip norm key by key in the order `backward` returns the
-gradients. `fit` packs the parameters into one flat vector and calls one
-`value_and_grad` per epoch; the arithmetic per element is the same, so
-traces, epochs and best parameters must match exactly.
+with Adam, computes each loss value and gradient per set with its own
+plain numpy and `math.erfc` formulas (nothing from `cqrnet.losses`), and
+sums the clip norm key by key in the order `backward` returns the
+gradients. `fit` packs the parameters into one flat vector and calls its
+loss object once per epoch on the training and validation rows together;
+the arithmetic per element is the same, so traces, epochs and best
+parameters must match exactly.
 """
 
 import math
@@ -14,15 +16,6 @@ import numpy as np
 import pytest
 
 from cqrnet.datagen import CensoredDataset
-from cqrnet.losses import (
-    censored_qr_nll,
-    censored_qr_nll_grad,
-    tilted_loss,
-    tilted_loss_subgrad,
-    tobit_nll,
-    tobit_nll_grad_log_sigma,
-    tobit_nll_grad_mean,
-)
 from cqrnet.models import (
     LinearQuantileNet,
     LstmQuantileNet,
@@ -34,27 +27,53 @@ from cqrnet.tobit import TobitNet
 from cqrnet.training import NonFiniteLossError, TrainConfig, fit
 
 
-def reference_fit(net, loss_kind, train, val, cfg, theta=None):
-    side = "lower" if train.side == "left" else "upper"
+def tilted(r, theta):
+    return np.maximum(theta * r, (theta - 1.0) * r)
 
+
+def tilted_subgrad(r, theta):
+    return np.where(r >= 0.0, theta, theta - 1.0)
+
+
+def tobit_terms(ds, means, sigma):
+    """z, the censored-side probability (floored at 1e-300) and the signed
+    density, lower for left-censored rows and upper for right."""
+    z = (ds.y - means) / sigma
+    sign = 1.0 if ds.side == "left" else -1.0
+    erfc = np.array([math.erfc(v) for v in -(sign * z) / math.sqrt(2.0)])
+    prob = np.maximum(0.5 * erfc, 1e-300)
+    return z, prob, sign * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+
+
+def reference_fit(net, loss_kind, train, val, cfg, theta=None):
     def sigma():
         if "log_sigma" in net.params:
             return float(np.exp(net.params["log_sigma"][0]))
         return float(getattr(net, "sigma", 1.0))
 
     def loss(ds, preds):
+        """Mean loss over one set."""
         if loss_kind == "tilted":
-            return float(np.mean(tilted_loss(ds.y - preds, theta)))
+            return float(np.mean(tilted(ds.y - preds, theta)))
         if loss_kind == "censored_nll":
-            return censored_qr_nll(ds.y, ds.tau, preds, theta) / ds.n
-        return tobit_nll(ds.y, ds.censored, preds, sigma(), side) / ds.n
+            return float(np.mean(tilted(ds.y - np.maximum(ds.tau, preds), theta)))
+        z, prob, _ = tobit_terms(ds, preds, sigma())
+        log_density = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - math.log(sigma())
+        return -float(np.mean(np.where(ds.censored, np.log(prob), log_density)))
 
     def dpred(preds):
+        """d(mean train loss) / d preds."""
         if loss_kind == "tilted":
-            return -tilted_loss_subgrad(train.y - preds, theta) / train.n
+            return -tilted_subgrad(train.y - preds, theta) / train.n
         if loss_kind == "censored_nll":
-            return censored_qr_nll_grad(train.y, train.tau, preds, theta) / train.n
-        return tobit_nll_grad_mean(train.y, train.censored, preds, sigma(), side) / train.n
+            return np.where(preds < train.tau, 0.0, -tilted_subgrad(train.y - preds, theta)) / train.n
+        z, prob, spdf = tobit_terms(train, preds, sigma())
+        return np.where(train.censored, spdf / prob / sigma(), -(train.y - preds) / sigma() ** 2) / train.n
+
+    def dlog_sigma(preds):
+        """d(mean train loss) / d log(sigma): dz/dlog(sigma) = -z."""
+        z, prob, spdf = tobit_terms(train, preds, sigma())
+        return float(np.where(train.censored, z * spdf / prob, 1.0 - z * z).sum()) / train.n
 
     rng = np.random.default_rng(cfg.seed)
     m = {k: np.zeros_like(p) for k, p in net.params.items()}
@@ -79,8 +98,7 @@ def reference_fit(net, loss_kind, train, val, cfg, theta=None):
             break
         grads = net.backward(dpred(preds))
         if "log_sigma" in net.params:
-            grads["log_sigma"] = np.array(
-                [tobit_nll_grad_log_sigma(train.y, train.censored, preds, sigma(), side) / train.n])
+            grads["log_sigma"] = np.array([dlog_sigma(preds)])
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if norm > cfg.clip_norm:
             grads = {k: g * (cfg.clip_norm / norm) for k, g in grads.items()}
