@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from cqrnet.datagen import CensoredDataset
+from cqrnet.losses import TRAINING_LOSSES
+from cqrnet.models import TobitNet
+
 
 def flatten_params(params, order):
     return np.concatenate([params[k].ravel() for k in order])
@@ -92,3 +96,38 @@ def loss_fd_draws(kind, n_configs=100):
             draw = {"y": y, "q": mu, "censored": cens, "sigma": sigma, "side": side}
         yield dict(draw, theta=theta, i=int(rng.integers(n)))
         done += 1
+
+
+def training_loss_fd_check(kind, learned_scale=False, n_configs=100):
+    """The training objective `TRAINING_LOSSES[kind]`, as `fit` calls it:
+    its dpred, and a learned Tobit scale's log_sigma gradient, against central
+    differences of its own train loss (the same rows also serve as validation
+    rows). Both sides are scaled from the mean to the sum over the rows."""
+    h = 1e-6
+    for done, c in enumerate(loss_fd_draws(kind, n_configs)):
+        y, q, i = c["y"], c["q"], c["i"]
+        n = y.size
+        ds = CensoredDataset(X=np.ones((n, 1)), y=y, tau=c.get("tau", y),
+                             censored=c.get("censored", np.zeros(n, dtype=bool)),
+                             side="right" if c.get("side") == "upper" else "left")
+        net = TobitNet(1, sigma=c["sigma"], estimate_sigma=learned_scale) if kind == "tobit" else None
+        loss = TRAINING_LOSSES[kind](ds, ds, c["theta"], net)
+
+        def train_sum(preds):
+            return n * loss(np.concatenate([preds, q]))[0]
+
+        _, _, dpred, grads = loss(np.concatenate([q, q]))
+        e = np.zeros(n)
+        e[i] = h
+        fd = (train_sum(q + e) - train_sum(q - e)) / (2 * h)
+        assert n * dpred[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"
+        assert list(grads) == (["log_sigma"] if learned_scale else [])
+        if learned_scale:
+            log_sigma = net.params["log_sigma"]
+            net.params["log_sigma"] = log_sigma + h
+            up = train_sum(q)
+            net.params["log_sigma"] = log_sigma - h
+            down = train_sum(q)
+            net.params["log_sigma"] = log_sigma
+            fd = (up - down) / (2 * h)
+            assert n * grads["log_sigma"][0] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"

@@ -19,7 +19,6 @@ from cqrnet.models import (
     LstmQuantileNet,
     RegularizedLinearNet,
     StackedUnitNet,
-    TobitNet,
     init_weights,
 )
 
@@ -136,43 +135,6 @@ def test_criterion_5_table3(t3_run):
     assert report(5, ok, detail)
 
 
-def _loss_fd_configs(kind, learned_scale=False, n_configs=100):
-    """The training objective `losses.TRAINING_LOSSES[kind]`, as `fit` calls it:
-    its dpred, and a learned Tobit scale's log_sigma gradient, against central
-    differences of its own train loss (the same rows also serve as validation
-    rows). Both sides are scaled from the mean to the sum over the rows."""
-    from gradcheck import loss_fd_draws
-
-    h = 1e-6
-    for done, c in enumerate(loss_fd_draws(kind, n_configs)):
-        y, q, i = c["y"], c["q"], c["i"]
-        n = y.size
-        ds = datagen.CensoredDataset(X=np.ones((n, 1)), y=y, tau=c.get("tau", y),
-                                     censored=c.get("censored", np.zeros(n, dtype=bool)),
-                                     side="right" if c.get("side") == "upper" else "left")
-        net = TobitNet(1, sigma=c["sigma"], estimate_sigma=learned_scale) if kind == "tobit" else None
-        loss = losses.TRAINING_LOSSES[kind](ds, ds, c["theta"], net)
-
-        def train_sum(preds):
-            return n * loss(np.concatenate([preds, q]))[0]
-
-        _, _, dpred, grads = loss(np.concatenate([q, q]))
-        e = np.zeros(n)
-        e[i] = h
-        fd = (train_sum(q + e) - train_sum(q - e)) / (2 * h)
-        assert n * dpred[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"
-        assert list(grads) == (["log_sigma"] if learned_scale else [])
-        if learned_scale:
-            log_sigma = net.params["log_sigma"]
-            net.params["log_sigma"] = log_sigma + h
-            up = train_sum(q)
-            net.params["log_sigma"] = log_sigma - h
-            down = train_sum(q)
-            net.params["log_sigma"] = log_sigma
-            fd = (up - down) / (2 * h)
-            assert n * grads["log_sigma"][0] == pytest.approx(fd, rel=1e-5, abs=1e-9), f"{kind} config {done}"
-
-
 def _family_fd_configs(family, n_configs=100):
     from gradcheck import fd_check
 
@@ -200,9 +162,11 @@ def _family_fd_configs(family, n_configs=100):
 
 def test_criterion_6_gradient_suite():
     started = time.perf_counter()
+    from gradcheck import training_loss_fd_check
+
     for kind in ("tilted", "censored_nll", "tobit"):
-        _loss_fd_configs(kind)
-    _loss_fd_configs("tobit", learned_scale=True)
+        training_loss_fd_check(kind)
+    training_loss_fd_check("tobit", learned_scale=True)
     for family in ("linear", "elu", "reg", "stacked", "lstm"):
         _family_fd_configs(family)
     elapsed = time.perf_counter() - started

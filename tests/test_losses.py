@@ -18,6 +18,8 @@ from cqrnet.losses import (
 )
 from cqrnet.models import TobitNet
 
+from gradcheck import training_loss_fd_check
+
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 thetas = st.floats(min_value=1e-6, max_value=1 - 1e-6)
 
@@ -223,3 +225,13 @@ def test_tobit_log_sigma_gradient_matches_fd(side):
             - tobit_nll(y, cens, mu, math.exp(log_sigma - h), side)
         ) / (2 * h)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+# -- training objectives -----------------------------------------------------
+
+@pytest.mark.parametrize("kind, learned_scale", [
+    ("tilted", False), ("censored_nll", False), ("tobit", False), ("tobit", True),
+])
+def test_training_loss_gradients_match_fd(kind, learned_scale):
+    """Each object in TRAINING_LOSSES on criterion 6's draws, one loss at a time."""
+    training_loss_fd_check(kind, learned_scale)
