@@ -259,8 +259,7 @@ def cmd_evaluate(args, parser):
 
     subsets, skipped = [args.subset], []
     if args.subset == "both":
-        # fleet censorship censors every row: an empty subset is listed, not scored
-        skipped = ["non_censored_test"] if test.censored.all() else []
+        skipped = metrics.empty_subsets(test)  # listed in the manifest, not scored
         subsets = [s for s in metrics.SUBSETS if s not in skipped]
     rows, reports = [], {}
     for model in sorted({m for m, _ in fits}):

@@ -1,4 +1,4 @@
-"""Loss functions and their (sub)gradients, each written once.
+"""Loss functions and their (sub)gradients.
 
 Conventions
 -----------
@@ -70,7 +70,10 @@ def _tilted(r, theta):
 
 def _tilted_grad(r, upper, lower):
     """rho'(r) times a scale: `upper` = theta * scale where r >= 0 (the kink
-    takes the upper branch), `lower` = (theta - 1) * scale elsewhere."""
+    takes the upper branch), `lower` = (theta - 1) * scale elsewhere. Each of
+    the three callers still computes its own branch values (training's are
+    pre-divided by n to keep their bits) until perfbench stops wrapping the
+    two public views by name."""
     return np.where(r >= 0.0, upper, lower)
 
 

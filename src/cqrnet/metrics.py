@@ -94,11 +94,13 @@ def _subset_mask(ds: CensoredDataset, subset):
     if subset == "all_test":
         return np.ones(ds.n, dtype=bool)
     if subset == "non_censored_test":
-        mask = ~ds.censored
-        if not np.any(mask):
-            raise ValueError("non-censored subset is empty")
-        return mask
+        return ~ds.censored
     raise ValueError(f"subset must be one of {SUBSETS}, got {subset!r}")
+
+
+def empty_subsets(ds: CensoredDataset):
+    """Subsets holding no row of `ds` (on fleet data, `non_censored_test`)."""
+    return [s for s in SUBSETS if not _subset_mask(ds, s).any()]
 
 
 def subset_report(ds: CensoredDataset, subset, preds=None, true_quantiles=None,
@@ -110,6 +112,8 @@ def subset_report(ds: CensoredDataset, subset, preds=None, true_quantiles=None,
     both groups may be given.
     """
     mask = _subset_mask(ds, subset)
+    if not mask.any():
+        raise ValueError(f"{subset.removesuffix('_test').replace('_', '-')} subset is empty")
     report = EvalReport(subset=subset, n=int(mask.sum()))
     if preds is not None:
         if true_quantiles is None:

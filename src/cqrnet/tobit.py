@@ -28,7 +28,8 @@ def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
 
     The likelihood orientation follows the dataset side (left-censored
     data uses the lower form). Weights start at ones unless a different
-    scheme is requested.
+    scheme is requested. The result has no theta, so its `predict` raises
+    ValueError: predict through `result.net.quantile(X, theta)`.
     """
     net = TobitNet(train.X.shape[1], sigma=sigma, estimate_sigma=estimate_sigma)
     return fit(init_weights(net, init_scheme, seed=init_seed), "tobit", train, val, cfg)

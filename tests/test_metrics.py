@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cqrnet.datagen import SyntheticSpec, attach_latent_quantiles, gen_synthetic
-from cqrnet.metrics import EvalReport, interval_metrics, point_metrics, subset_report
+from cqrnet.metrics import EvalReport, empty_subsets, interval_metrics, point_metrics, subset_report
 from cqrnet.normal import std_normal_quantile
 
 
@@ -110,6 +110,8 @@ def test_subset_report_empty_subset_errors():
     fully = ds.subset(np.flatnonzero(ds.censored))
     with pytest.raises(ValueError):
         subset_report(fully, "non_censored_test", lower=np.zeros(fully.n), upper=np.ones(fully.n))
+    assert empty_subsets(fully) == ["non_censored_test"]
+    assert empty_subsets(ds) == []
 
 
 def test_eval_report_validation():

@@ -1,7 +1,5 @@
 """Adam loop, early stopping, learning-rate grid, imputation, selection."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -277,11 +275,15 @@ def test_impute_ratio_examples():
 @given(st.integers(0, 2**32 - 2), st.floats(1e-3, 1e3))
 @example(seed=20, c=7.0)
 def test_impute_ratio_scale_invariance(seed, c):
-    """Scaling y, y* and tau by c > 0 commutes with threshold imputation:
-    the ratio stays and the imputed thresholds scale by c."""
+    """Censoring a series scaled by c > 0 scales y, y* and tau by c, and
+    threshold imputation commutes with it: the ratio stays and the imputed
+    thresholds scale by c."""
     series = np.random.default_rng(seed).uniform(10, 30, 200)
     cs = censor_partial(series, 0.4, 0.2, 0.6, seed=seed + 1)
-    scaled = replace(cs, y=cs.y * c, tau=cs.tau * c, y_star=cs.y_star * c)
+    scaled = censor_partial(series * c, 0.4, 0.2, 0.6, seed=seed + 1)
+    assert np.array_equal(scaled.censored, cs.censored)
+    for got, want in ((scaled.y, cs.y), (scaled.tau, cs.tau), (scaled.y_star, cs.y_star)):
+        assert got == pytest.approx(c * want, nan_ok=True)
     r1 = train_mean_ratio(cs.y_star, cs.y)
     r2 = train_mean_ratio(scaled.y_star, scaled.y)
     assert r1 == pytest.approx(r2)
