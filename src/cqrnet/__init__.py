@@ -54,4 +54,4 @@ from .training import (
     train_mean_ratio,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -21,11 +22,9 @@ import tempfile
 import numpy as np
 
 from . import __version__, datagen, metrics
-from .experiments import MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name
+from .experiments import INTERVAL_PAIR, MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name
 from .models import net_from_dict
 from .training import TrainConfig, impute_thresholds, train_mean_ratio
-
-INTERVAL_LOW, INTERVAL_HIGH = 0.05, 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +68,7 @@ def _manifest(path, command, args, config, outputs, stats=None):
             "tool": "cqrnet",
             "version": __version__,
             "command": command,
-            "argv": getattr(args, "_argv", sys.argv[1:]),
+            "argv": args._argv,
             "config": config,
             "config_hash": _config_hash(config),
             "master_seed": args.seed,
@@ -187,7 +186,7 @@ def cmd_fit(args, parser):
         cfg_kwargs["patience"] = args.patience
     if args.max_epochs is not None:
         cfg_kwargs["max_epochs"] = args.max_epochs
-    use_grid = args.learning_rate is None and not args.no_lr_grid
+    use_grid = args.learning_rate is None
 
     tasks, skipped = [], 0
     for model in models:
@@ -221,7 +220,7 @@ def cmd_fit(args, parser):
 
     config = {"data": args.data, "models": models, "thetas": thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
-              "max_epochs": args.max_epochs, "no_lr_grid": args.no_lr_grid, "init": args.init}
+              "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
               {"skipped_existing": skipped, "fitted": len(tasks)})
     print(f"fitted {len(tasks)} cells, skipped {skipped} existing; results in {args.out_dir}")
@@ -230,10 +229,6 @@ def cmd_fit(args, parser):
 
 # ---------------------------------------------------------------------------
 # evaluate
-
-def _predict_cell(doc, test):
-    return net_from_dict(doc["net"]).quantile(test.X, float(doc["theta"]))
-
 
 def cmd_evaluate(args, parser):
     os.makedirs(args.out_dir, exist_ok=True)
@@ -253,7 +248,10 @@ def cmd_evaluate(args, parser):
                 f"holds out of {args.data} (fit --seed {doc.get('master_seed', 'not recorded')}); "
                 f"evaluate with the seed the fit used")
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
-        fits[(model, float(doc["theta"]))] = doc
+        try:
+            fits[(model, float(doc["theta"]))] = net_from_dict(doc["net"])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     if not fits:
         parser.error(f"no fit-*.json results under {args.fits}")
 
@@ -267,7 +265,7 @@ def cmd_evaluate(args, parser):
         for theta in thetas:
             if noise is None:
                 continue  # no analytic ground truth for series data
-            preds = _predict_cell(fits[(model, theta)], test)
+            preds = fits[(model, theta)].quantile(test.X, theta)
             truth = datagen.latent_quantile(noise, theta, test.X, mixture_compat=args.mixture_compat)
             for subset in subsets:
                 rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truth)
@@ -275,9 +273,8 @@ def cmd_evaluate(args, parser):
                 rows.append([model, theta, subset, rp.n,
                              "" if rp.r2 is None else repr(rp.r2),
                              repr(rp.mae), repr(rp.rmse), "", ""])
-        if {INTERVAL_LOW, INTERVAL_HIGH} <= set(thetas):
-            lo = _predict_cell(fits[(model, INTERVAL_LOW)], test)
-            hi = _predict_cell(fits[(model, INTERVAL_HIGH)], test)
+        if set(INTERVAL_PAIR) <= set(thetas):
+            lo, hi = (fits[(model, theta)].quantile(test.X, theta) for theta in INTERVAL_PAIR)
             for subset in subsets:
                 rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
                 reports[(model, "interval", subset)] = rp
@@ -302,19 +299,20 @@ def cmd_evaluate(args, parser):
 # ---------------------------------------------------------------------------
 # replicate
 
+# replicate's flags that reach the table function as keywords of the same name
+_TABLE_FLAGS = ("replicates", "zero_noise", "jobs")
+
+
 def cmd_replicate(args, parser):
+    run_table = TABLES[args.table]
+    given = {k: getattr(args, k) for k in _TABLE_FLAGS if getattr(args, k) is not None}
+    params = inspect.signature(run_table).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        refused = ["--" + k.replace("_", "-") for k in given if k not in params]
+        if refused:
+            parser.error(f"replicate {args.table} does not take {', '.join(refused)}")
     os.makedirs(args.out_dir, exist_ok=True)
-    kwargs = {"master_seed": args.seed}
-    if args.table == "t1":
-        if args.n_seeds is not None:
-            kwargs["n_seeds"] = args.n_seeds
-    elif args.replicates is not None:
-        kwargs["replicates"] = args.replicates
-    if args.table == "t2" and args.zero_noise:
-        kwargs["zero_noise"] = True
-    if args.table == "t4-synthetic" and args.jobs > 1:
-        kwargs["jobs"] = args.jobs
-    run = TABLES[args.table](**kwargs)
+    run = run_table(master_seed=args.seed, **given)
 
     base = os.path.join(args.out_dir, args.table)
     raw_path = base + "-raw.csv"
@@ -323,9 +321,7 @@ def cmd_replicate(args, parser):
     _atomic_write(table_path, run.render())
     verdict_path = base + "-verdicts.json"
     _write_json(verdict_path, run.verdicts)
-    config = {"table": args.table, "replicates": args.replicates,
-              "n_seeds": args.n_seeds, "zero_noise": args.zero_noise}
-    _manifest(base + "-manifest.json", "replicate", args, config,
+    _manifest(base + "-manifest.json", "replicate", args, {"table": args.table, **given},
               [raw_path, table_path, verdict_path])
 
     sys.stdout.write(run.render())
@@ -377,8 +373,6 @@ def build_parser():
     f.add_argument("--thetas", default="0.05,0.5,0.95")
     f.add_argument("--learning-rate", type=float, default=None,
                    help="fixed learning rate (validation grid selection when omitted)")
-    f.add_argument("--no-lr-grid", action="store_true",
-                   help="with no --learning-rate: use the TrainConfig default rate instead of the grid")
     f.add_argument("--patience", type=int, default=None)
     f.add_argument("--max-epochs", type=int, default=None)
     f.add_argument("--init", choices=["ones", "standard_normal"], default="ones")
@@ -397,41 +391,50 @@ def build_parser():
 
     r = subparsers["replicate"] = sub.add_parser("replicate", help="self-contained table replication")
     common(r)
-    r.add_argument("--jobs", type=int, default=1, help="worker processes for the t4-synthetic cells")
     r.add_argument("table", choices=sorted(TABLES))
-    r.add_argument("--replicates", type=int, default=None)
-    r.add_argument("--n-seeds", type=int, default=None, help="t1 only")
-    r.add_argument("--zero-noise", action="store_true", help="t2 only: noiseless debug generator")
+    # each reaches the table only when given, and only a table that takes it
+    r.add_argument("--replicates", type=int, help="datasets (t1) or replicates per cell")
+    r.add_argument("--zero-noise", action="store_true", default=None, help="t2 only: noiseless debug generator")
+    r.add_argument("--jobs", type=int, help="t4-synthetic only: worker processes for its cells")
     r.set_defaults(func=cmd_replicate)
 
     return parser, subparsers
 
 
-def _apply_config_file(args, parser, subparser):
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
+def _config_tokens(path, parser, subparser):
+    """The `--config` file's keys as `--flag=value` tokens of the subcommand.
+    A key that is no optional flag of it (a positional, a required flag,
+    `config`) is a usage error: the command line alone gives those."""
+    with open(path) as fh:
         file_cfg = json.load(fh)
-    unknown = sorted(set(file_cfg) - {a.dest for a in subparser._actions})
+    flags = {a.dest: a for a in subparser._actions
+             if a.option_strings and not a.required and a.dest not in ("help", "config")}
+    unknown = sorted(set(file_cfg) - set(flags))
     if unknown:
         parser.error(f"unknown config keys: {unknown}")
-    # re-parse with defaults suppressed: only flags actually given remain, and they win
-    fresh, fresh_subparsers = build_parser()
-    for action in fresh_subparsers[args.command]._actions:
-        action.default = argparse.SUPPRESS
-    explicit = vars(fresh.parse_args(args._argv))
+    tokens = []
     for key, value in file_cfg.items():
-        if key not in explicit:
-            setattr(args, key, value)
-    return args
+        flag = flags[key].option_strings[-1]
+        if flags[key].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value is True:
+            tokens.append(flag)
+        elif value is not False:
+            parser.error(f"config key {key!r} takes true or false, got {value!r}")
+    return tokens
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
-    args = _apply_config_file(args, parser, subparsers[args.command])
     try:
+        if args.config:
+            # the file's flags go first, so the command line's own flags win
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, parser, subparsers[args.command])
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args._argv = argv
         return args.func(args, parser)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,9 +46,7 @@ __all__ = [
     "lag_features",
     "build_lagged_dataset",
     "dataset_csv_text",
-    "save_dataset_csv",
     "load_dataset_csv",
-    "save_daily_series_csv",
     "load_daily_series_csv",
 ]
 
@@ -411,12 +409,6 @@ def dataset_csv_text(ds: CensoredDataset) -> str:
     return buf.getvalue()
 
 
-def save_dataset_csv(ds: CensoredDataset, path):
-    """Write `dataset_csv_text(ds)` to `path`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(dataset_csv_text(ds))
-
-
 def load_dataset_csv(path, side="left") -> CensoredDataset:
     """Read a dataset CSV, adding the intercept column back.
 
@@ -444,15 +436,6 @@ def load_dataset_csv(path, side="left") -> CensoredDataset:
         side=side,
         y_star=data[:, p + 3] if has_star else None,
     ).validate()
-
-
-def save_daily_series_csv(path, counts, start_date="2020-01-01"):
-    start = _dt.date.fromisoformat(start_date)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "count"])
-        for i, c in enumerate(np.asarray(counts)):
-            writer.writerow([(start + _dt.timedelta(days=i)).isoformat(), repr(float(c))])
 
 
 def load_daily_series_csv(path) -> np.ndarray:

@@ -41,7 +41,6 @@ from .training import (
 __all__ = [
     "child_seed",
     "MODEL_NAMES",
-    "build_net",
     "fit_model",
     "TableRun",
     "run_t1",
@@ -109,10 +108,6 @@ def parse_model_name(name) -> _ModelSpec:
         if activation in ("tanh", "sigmoid", "elu", "relu") and units.isdigit():
             return _ModelSpec("censored_nll", partial(StackedUnitNet, units=int(units), activation=activation))
     raise ValueError(f"unknown model {name!r}")
-
-
-def build_net(name, dim):
-    return parse_model_name(name).build(dim)
 
 
 def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
@@ -189,7 +184,7 @@ def _aggregate(scores, stats):
             for key, rows in by_key.items()}
 
 
-def run_t1(master_seed=0, n_seeds=20, n=1000) -> TableRun:
+def run_t1(master_seed=0, replicates=20, n=1000) -> TableRun:
     """Percent of zero observable quantiles per noise and theta.
 
     Fractions are over all rows of each generated dataset; the mixture
@@ -201,7 +196,7 @@ def run_t1(master_seed=0, n_seeds=20, n=1000) -> TableRun:
     for noise in datagen.NOISES:
         for theta in THETA_GRID:
             vals = []
-            for s in range(n_seeds):
+            for s in range(replicates):
                 seed = child_seed(master_seed, "t1", noise, "data", s)
                 ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed))
                 datagen.attach_latent_quantiles(ds, noise, [theta], mixture_compat=True)

@@ -9,7 +9,7 @@ fit independently and silent reordering would mask model pathology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,7 @@ class EvalReport:
             raise ValueError(f"icp must be in [0, 1], got {self.icp}")
 
     def to_dict(self) -> dict:
-        return {
-            "subset": self.subset,
-            "n": self.n,
-            "r2": self.r2,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "icp": self.icp,
-            "mil": self.mil,
-            "n_crossed": self.n_crossed,
-        }
+        return asdict(self)
 
 
 def point_metrics(pred_quantiles, true_quantiles):

@@ -4,16 +4,19 @@ Families
 --------
 * LinearQuantileNet: out = eta(x . beta), eta identity or ELU. Column 0 of
   the covariate matrix is the intercept slot (x0 = 1).
-* RegularizedLinearNet: adds inverted input dropout (training only) and L2
-  weight decay; the intercept slot is exempt from both.
+* RegularizedLinearNet: the identity neuron plus inverted input dropout
+  (training only) and L2 weight decay; the intercept slot is exempt from
+  both.
 * StackedUnitNet: one hidden layer of k units (tanh/sigmoid/elu/relu) with a
-  linear output aggregation; kept behind the same interface but not part of
-  the default model lists.
+  linear output aggregation and no weight decay; kept behind the same
+  interface but not part of the default model lists.
 * LstmQuantileNet: a single LSTM cell unrolled over the lag window (scalar
   inputs, oldest lag first) followed by a linear aggregation of the final
-  hidden state. One step loop serves evaluation and the recorded training
-  pass; each step takes one matmul and one tanh for all four gates (see
-  the class docstring for the fused gates and the cache layout).
+  hidden state plus an output bias. Its rows carry the intercept slot like
+  every other family's; the cell reads only the lag columns after it. One
+  step loop serves evaluation and the recorded training pass; each step
+  takes one matmul and one tanh for all four gates (see the class
+  docstring for the fused gates and the cache layout).
 * TobitNet: the linear mean x . beta of the Tobit latent N(x . beta,
   sigma^2), sigma fixed or learned as log_sigma; `quantile(X, theta)` is
   x . beta + sigma * Phi^{-1}(theta).
@@ -32,6 +35,8 @@ A net's saved form (`to_dict`) is its family, its constructor's arguments
 and its parameters. The arguments are read back from the attributes of the
 same name (`_Net.config`), and the activation pair is looked up by name at
 call time, so a net holds only plain data and pickles as it is.
+`net_from_dict` takes exactly those keys: a document with another set
+(one saved under another format) is a ValueError naming the keys.
 
 One pass serves a training epoch: `forward_train` records and drops out
 only the first `n_train` rows (training rows stacked on validation rows)
@@ -99,6 +104,11 @@ def _matmul_rows(A, B, n, out=None):
     return out
 
 
+def _arg_names(cls):
+    """The constructor's argument names: the keys of a saved net's config."""
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
 class _Net:
     """Shared plumbing: parameter dict, cache handling, serialization."""
 
@@ -148,8 +158,7 @@ class _Net:
 
     def config(self) -> dict:
         """The constructor's arguments, read back from the attributes of the same name."""
-        names = list(inspect.signature(type(self).__init__).parameters)[1:]
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in _arg_names(type(self))}
 
     def to_dict(self) -> dict:
         return {
@@ -207,8 +216,8 @@ class RegularizedLinearNet(LinearQuantileNet):
 
     family = "reg_linear"
 
-    def __init__(self, dim, activation="identity", dropout_rate=0.2, l2_coeff=1e-3):
-        super().__init__(dim, activation)
+    def __init__(self, dim, dropout_rate=0.2, l2_coeff=1e-3):
+        super().__init__(dim)
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
         if l2_coeff < 0.0:
@@ -247,14 +256,13 @@ class StackedUnitNet(_Net):
     family = "stacked"
     param_order = ("w_hidden", "w_out", "b_out")
 
-    def __init__(self, dim, units=1, activation="tanh", l2_coeff=0.0):
+    def __init__(self, dim, units=1, activation="tanh"):
         super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unsupported activation {activation!r}")
         self.dim = int(dim)
         self.units = int(units)
         self.activation = activation
-        self.l2_coeff = float(l2_coeff)
         self.params = {
             "w_hidden": np.zeros((self.units, self.dim)),
             "w_out": np.zeros(self.units),
@@ -273,22 +281,11 @@ class StackedUnitNet(_Net):
         d = np.asarray(dpred, dtype=float)
         dhidden = d[:, None] * self.params["w_out"][None, :]
         dz1 = dhidden * _ACTIVATIONS[self.activation][1](z1)
-        grads = {
+        return {
             "w_hidden": dz1.T @ X,
             "w_out": hidden.T @ d,
             "b_out": np.array([d.sum()]),
         }
-        if self.l2_coeff > 0.0:
-            grads["w_hidden"] = grads["w_hidden"] + self.l2_coeff * self.params["w_hidden"]
-            grads["w_out"] = grads["w_out"] + self.l2_coeff * self.params["w_out"]
-        return grads
-
-    def l2_penalty(self) -> float:
-        if self.l2_coeff == 0.0:
-            return 0.0
-        return 0.5 * self.l2_coeff * float(
-            np.sum(self.params["w_hidden"] ** 2) + np.sum(self.params["w_out"] ** 2)
-        )
 
 
 class LstmQuantileNet(_Net):
@@ -324,14 +321,12 @@ class LstmQuantileNet(_Net):
     family = "lstm"
     param_order = ("w_x", "w_h", "b", "w_out", "b_out")
 
-    def __init__(self, lags=7, hidden_size=8, output_bias=True, intercept_column=True):
+    def __init__(self, lags=7, hidden_size=8):
         super().__init__()
         self.lags = int(lags)
         self.hidden_size = int(hidden_size)
         if self.lags < 1 or self.hidden_size < 1:
             raise ValueError("lags and hidden_size must be positive")
-        self.output_bias = bool(output_bias)
-        self.intercept_column = bool(intercept_column)
         h = self.hidden_size
         self.params = {
             "w_x": np.zeros(4 * h),
@@ -345,16 +340,15 @@ class LstmQuantileNet(_Net):
 
     @property
     def dim(self):
-        return self.lags + (1 if self.intercept_column else 0)
+        return self.lags + 1
 
     # bound on the class itself: perfbench wraps these two by class
     forward, forward_train = _Net.forward, _Net.forward_train
 
     def _pass(self, X, n):
-        lag_cols = X[:, 1:] if self.intercept_column else X
         # lag columns are newest-first; the recurrence runs oldest-first,
         # so row t of the (T, rows) sequence is step t
-        seq = lag_cols[:, ::-1].T
+        seq = X[:, :0:-1].T
         steps, n_rows = seq.shape
         hsz = self.hidden_size
         # step t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
@@ -379,8 +373,7 @@ class LstmQuantileNet(_Net):
         if n:
             self._cache = (rows[:, :n], np.ascontiguousarray(gates[:, :n]), cs[:, :n], tanh_cs[:, :n], scale[:n])
         out = _matmul_rows(rows[-1, :, :hsz], self.params["w_out"], n)
-        if self.output_bias:
-            out += self.params["b_out"][0]
+        out += self.params["b_out"][0]
         return out
 
     def backward(self, dpred):
@@ -388,9 +381,7 @@ class LstmQuantileNet(_Net):
         d = np.asarray(dpred, dtype=float)
         steps, n, width = gates.shape
         hsz = self.hidden_size
-        grads = {"w_out": rows[-1, :, :hsz].T @ d, "b_out": np.zeros(1)}
-        if self.output_bias:
-            grads["b_out"] = np.array([d.sum()])
+        grads = {"w_out": rows[-1, :, :hsz].T @ d, "b_out": np.array([d.sum()])}
         gi, gf, go, gc = (gates[:, :, k * hsz : (k + 1) * hsz] for k in range(4))
         # g(1 - g) for the sigmoid gates, (1 + g)(1 - g) for the candidate
         dgates = (gates - (1.0 - 2.0 * scale)) * (1.0 - gates)
@@ -483,8 +474,7 @@ class MirrorWrapper(_Net):
         return MirrorWrapper(self.inner.copy())
 
     def to_dict(self):
-        # the saved form records the intercept convention; every mirror keeps column 0
-        return {"family": self.family, "config": {"intercept_column": True}, "inner": self.inner.to_dict()}
+        return {"family": self.family, "inner": self.inner.to_dict()}
 
 
 def init_weights(net, scheme, seed=None):
@@ -521,15 +511,27 @@ _FAMILIES = {
 }
 
 
+def _check_keys(family, part, got, want):
+    unknown, missing = sorted(set(got) - set(want)), sorted(set(want) - set(got))
+    if unknown or missing:
+        raise ValueError(f"saved {family} net: {part} has unknown keys {unknown} and lacks keys {missing}; "
+                         "it was written in another format, so refit it (fit --force)")
+
+
 def net_from_dict(payload):
-    """Rebuild a net of any family from its to_dict() document."""
-    family = payload["family"]
+    """Rebuild a net of any family from its to_dict() document; a document
+    whose keys differ from what `to_dict` writes is a ValueError."""
+    family = payload.get("family")
     if family == "mirror":
+        _check_keys(family, "the document", payload, ("family", "inner"))
         return MirrorWrapper(net_from_dict(payload["inner"]))
     try:
         cls = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown net family {family!r}") from None
+    _check_keys(family, "the document", payload, ("family", "config", "params"))
+    _check_keys(family, "config", payload["config"], _arg_names(cls))
     net = cls(**payload["config"])
+    _check_keys(family, "params", payload["params"], net.param_order)
     net._load_params(payload["params"])
     return net

@@ -22,6 +22,11 @@ censored NLL, right-censored data is fitted through the mirror: the inner
 net trains on the negated (left-censored) sets at level 1 - theta, and the
 result holds it in a MirrorWrapper whose predictions are already in the
 original orientation.
+
+Adam's constants (`ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`) are fixed;
+`TrainConfig` holds only what a protocol or a test sets. Why training
+stopped is a result's `diagnostics["stop_reason"]`, and a fit through the
+mirror is one whose `net` is a MirrorWrapper.
 """
 
 from __future__ import annotations
@@ -56,9 +61,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     patience: int = 10
     max_epochs: int = 5000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -83,9 +85,7 @@ class FitResult:
     val_trace: list
     best_epoch: int
     stopping_epoch: int
-    hit_max_epochs: bool
     wall_time: float
-    mirrored: bool = False
     # {"stop_reason": "patience" | "max_epochs", "clip_share": share of Adam steps clipped}
     diagnostics: dict = field(default_factory=dict)
 
@@ -124,19 +124,23 @@ def _flatten_params(net):
     return flat, slices
 
 
+# Adam's moment decays and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def _adam_step(flat, grad, m, v, t, cfg: TrainConfig):
     """Adam update number t (from 1) of `flat` and its moments m, v, in place."""
-    m *= cfg.adam_beta1
-    m += (1.0 - cfg.adam_beta1) * grad
-    v *= cfg.adam_beta2
-    grad_sq = (1.0 - cfg.adam_beta2) * grad
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    grad_sq = (1.0 - ADAM_BETA2) * grad
     grad_sq *= grad
     v += grad_sq
-    step = m / (1.0 - cfg.adam_beta1**t)
+    step = m / (1.0 - ADAM_BETA1**t)
     step *= cfg.learning_rate
-    denom = v / (1.0 - cfg.adam_beta2**t)
+    denom = v / (1.0 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
+    denom += ADAM_EPS
     step /= denom
     flat -= step
 
@@ -147,7 +151,7 @@ _SCALAR_ADAM_MAX = 16
 
 def _adam_step_scalar(flat, grad, m, v, t, cfg: TrainConfig):
     """`_adam_step` in Python floats, bit for bit, with m and v lists."""
-    b1, b2, rate, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+    b1, b2, rate, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     steps = []
     for i, g in enumerate(grad.tolist()):
@@ -166,8 +170,8 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
 
     The censored NLL on right-censored data fits `net` on the mirrored sets
     at level 1 - theta; the result then holds it in a MirrorWrapper, with
-    the caller's theta and `mirrored=True`. The tilted and Tobit losses
-    train on either side directly.
+    the caller's theta. The tilted and Tobit losses train on either side
+    directly.
     """
     if train.n < 1 or val.n < 1:
         raise ValueError("train and val must be nonempty")
@@ -238,9 +242,7 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         val_trace=val_trace,
         best_epoch=best_epoch,
         stopping_epoch=epoch,
-        hit_max_epochs=stop_reason == "max_epochs",
         wall_time=time.perf_counter() - started,
-        mirrored=mirrored,
         diagnostics={"stop_reason": stop_reason, "clip_share": clipped / steps},
     )
 

@@ -69,7 +69,7 @@ def test_criterion_1_censoring_rate():
 
 def test_criterion_2_table1_cells():
     started = time.perf_counter()
-    run = run_t1(master_seed=MASTER_SEED, n_seeds=20)
+    run = run_t1(master_seed=MASTER_SEED, replicates=20)
     elapsed = time.perf_counter() - started
     failed = [v for v in run.verdicts if not v["passed"]]
     ok = not failed and elapsed < 5.0

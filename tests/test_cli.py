@@ -237,7 +237,7 @@ def test_fit_unknown_model_errors(tmp_path):
 
 def test_replicate_t1_and_exit_status(tmp_path):
     out = tmp_path / "rep"
-    code = run(["replicate", "t1", "--n-seeds", 5, "--seed", 0, "--out-dir", out])
+    code = run(["replicate", "t1", "--replicates", 5, "--seed", 0, "--out-dir", out])
     assert code == 0
     raw = (out / "t1-raw.csv").read_text().splitlines()
     assert raw[0] == "noise,theta,seed,zero_fraction"
@@ -259,7 +259,7 @@ def test_replicate_t2_zero_noise_debug(tmp_path):
 def test_replicate_determinism_raw_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        run(["replicate", "t1", "--n-seeds", 3, "--seed", 42, "--out-dir", out])
+        run(["replicate", "t1", "--replicates", 3, "--seed", 42, "--out-dir", out])
     assert (a / "t1-raw.csv").read_bytes() == (b / "t1-raw.csv").read_bytes()
 
 
@@ -363,7 +363,7 @@ def test_jobs_and_force_only_on_the_subcommands_that_act_on_them(tmp_path):
     generate = ["generate", "--synthetic", "standard_gaussian", "--n", 20, "--out-dir", tmp_path / "g"]
     evaluate = ["evaluate", "--data", tmp_path / "none.csv", "--fits", tmp_path, "--out-dir", tmp_path / "e"]
     for argv in (generate + ["--jobs", 8], generate + ["--force"], evaluate + ["--jobs", 2],
-                 evaluate + ["--force"], ["replicate", "t1", "--n-seeds", 1, "--force", "--out-dir", tmp_path / "r"]):
+                 evaluate + ["--force"], ["replicate", "t1", "--replicates", 1, "--force", "--out-dir", tmp_path / "r"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
@@ -396,3 +396,93 @@ def test_replicate_bike_runs_the_registered_protocol(tmp_path, monkeypatch):
     manifest = read_manifest(out / "bike-manifest.json")
     assert manifest["config"]["table"] == "bike"
     assert manifest["outputs"] == [str(out / f"bike-{s}") for s in ("raw.csv", "table.txt", "verdicts.json")]
+
+
+def test_config_values_parse_like_flags(tmp_path):
+    """A --config value goes through its flag's type and choices: "300"
+    is the integer 300, and a value the flag would refuse exits 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "300", "synthetic": "standard_gaussian"}))
+    out = tmp_path / "ok"
+    assert run(["generate", "--config", cfg, "--seed", 1, "--out-dir", out]) == 0
+    assert read_manifest(out / "generate-manifest.json")["config"]["n"] == 300
+    for bad in ({"n": "abc"}, {"n": 1.5}, {"synthetic": "cauchy"}, {"zero_noise": "yes"}, {"config": "x.json"}):
+        cfg.write_text(json.dumps({"synthetic": "standard_gaussian", **bad}))
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--config", cfg, "--out-dir", tmp_path / "bad"])
+        assert exc.value.code == 2, bad
+    # positionals and required flags stay on the command line
+    for argv, key in ((["replicate", "t2"], "table"), (["fit", "--data", "x.csv"], "data")):
+        cfg.write_text(json.dumps({key: "t1"}))
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--config", cfg, "--out-dir", tmp_path / "bad"])
+        assert exc.value.code == 2, key
+    assert not (tmp_path / "bad").exists()
+
+
+def test_replicate_t1_takes_replicates(tmp_path):
+    out = tmp_path / "rep"
+    assert run(["replicate", "t1", "--replicates", 3, "--seed", 1, "--out-dir", out]) == 0
+    assert len((out / "t1-raw.csv").read_text().splitlines()) == 1 + 27
+    assert read_manifest(out / "t1-manifest.json")["config"] == {"table": "t1", "replicates": 3}
+
+
+@pytest.mark.parametrize("argv", [["t1", "--zero-noise"], ["t3", "--jobs", 2], ["bike", "--jobs", 2],
+                                  ["t1", "--replicates", 1, "--jobs", 1]],
+                         ids=["t1-zero-noise", "t3-jobs", "bike-jobs", "t1-jobs"])
+def test_replicate_refuses_a_flag_its_table_does_not_take(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(["replicate", *argv, "--out-dir", tmp_path / "rep"])
+    assert exc.value.code == 2
+    assert f"replicate {argv[0]} does not take" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_evaluate_refuses_net_documents_of_another_format(tmp_path, capsys):
+    """A fit JSON whose net has a key the format does not have, or lacks one,
+    exits 2 naming the family and the keys; `fit --force` mends it."""
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--censor", "partial", "--n-days", 120, "--seed", 2, "--out-dir", data_dir]) == 0
+    data = data_dir / "censored-partial.csv"
+    fits = tmp_path / "fits"
+    fit = ["fit", "--data", data, "--models", "c-linear", "--thetas", "0.05,0.95", "--learning-rate", 0.1,
+           "--max-epochs", 50, "--seed", 2, "--out-dir", fits]
+    assert run(fit) == 0
+    evaluate = ["evaluate", "--data", data, "--fits", fits, "--seed", 2, "--out-dir", tmp_path / "e"]
+    assert run(evaluate) == 0
+    cell = fits / "fit-c-linear-theta0.05.json"
+    saved = json.loads(cell.read_text())
+    assert saved["net"]["family"] == "mirror"
+
+    def tampered(change):
+        doc = json.loads(json.dumps(saved))
+        change(doc["net"])
+        cell.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(evaluate) == 2
+        return capsys.readouterr().err
+
+    err = tampered(lambda net: net.update(config={"intercept_column": True}))
+    assert "mirror" in err and "'config'" in err and "fit --force" in err
+    err = tampered(lambda net: net["inner"]["config"].update(output_bias=True))
+    assert "linear" in err and "'output_bias'" in err
+    err = tampered(lambda net: net["inner"].pop("params"))
+    assert "linear" in err and "'params'" in err
+    err = tampered(lambda net: net["inner"]["params"].update(gamma=[1.0]))
+    assert "'gamma'" in err
+    assert run(fit + ["--force"]) == 0
+    assert run(evaluate) == 0
+
+
+def test_readme_names_only_registered_flags():
+    """Every --flag in README.md's CLI section is an option of some subcommand."""
+    import re
+
+    from cqrnet.cli import build_parser
+
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser, subparsers = build_parser()
+    registered = {flag for p in (parser, *subparsers.values()) for a in p._actions for flag in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named and named <= registered, sorted(named - registered)

@@ -1,5 +1,6 @@
 """Generators, censorship schemes, splits, lag features, CSV round trips."""
 
+import datetime
 import math
 import os
 import tempfile
@@ -25,8 +26,6 @@ from cqrnet.datagen import (
     latent_quantile,
     load_daily_series_csv,
     load_dataset_csv,
-    save_daily_series_csv,
-    save_dataset_csv,
     split,
     split_indices,
     zero_quantile_fraction,
@@ -372,15 +371,16 @@ def test_dataset_csv_nan_thresholds(tmp_path):
     cs = censor_partial(np.arange(1.0, 31.0), 0.3, 0.2, 0.4, seed=17)
     ds = build_lagged_dataset(cs, lags=7)
     path = tmp_path / "nan.csv"
-    save_dataset_csv(ds, path)
+    path.write_text(datagen.dataset_csv_text(ds), newline="")
     loaded = load_dataset_csv(path, side="right")
     assert np.array_equal(np.isnan(loaded.tau), np.isnan(ds.tau))
 
 
 def test_daily_series_csv_round_trip(tmp_path):
     series = bundled_daily_series(30, seed=18)
+    days = (datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(len(series)))
     path = tmp_path / "series.csv"
-    save_daily_series_csv(path, series)
+    path.write_text("date,count\n" + "".join(f"{d.isoformat()},{c!r}\n" for d, c in zip(days, series.tolist())))
     assert np.array_equal(load_daily_series_csv(path), series)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cqrnet.experiments import (
-    build_net,
     child_seed,
     parse_model_name,
     run_t1,
@@ -35,14 +34,14 @@ def test_parse_model_name():
 
 
 def test_build_net_dims():
-    assert build_net("c-lstm", 8).dim == 8
-    assert build_net("c-reg-linear", 5).dropout_rate == 0.2
-    assert build_net("c-stacked-relu-10", 4).units == 10
-    assert build_net("tobit", 3).to_dict()["config"] == {"dim": 3, "sigma": 1.0, "estimate_sigma": False}
+    assert parse_model_name("c-lstm").build(8).dim == 8
+    assert parse_model_name("c-reg-linear").build(5).dropout_rate == 0.2
+    assert parse_model_name("c-stacked-relu-10").build(4).units == 10
+    assert parse_model_name("tobit").build(3).to_dict()["config"] == {"dim": 3, "sigma": 1.0, "estimate_sigma": False}
 
 
 def test_t1_cells_match_analytic_values():
-    run = run_t1(master_seed=0, n_seeds=10)
+    run = run_t1(master_seed=0, replicates=10)
     values = run.cells["values"]
     # analytic all-rows fractions under the compat mixture quantile
     expected = {
@@ -69,7 +68,7 @@ def test_t4_raw_rows_identical_across_jobs():
 
 
 def test_table_render_contains_verdicts():
-    run = run_t1(master_seed=0, n_seeds=2)
+    run = run_t1(master_seed=0, replicates=2)
     text = run.render()
     assert "Table 1" in text
     assert "[PASS]" in text or "[FAIL]" in text

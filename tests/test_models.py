@@ -84,15 +84,12 @@ def test_lstm_gradients_match_fd_small():
     fd_check(net, X, rng)
 
 
-@pytest.mark.parametrize("output_bias, intercept_column", [(True, True), (False, True), (True, False)])
-def test_lstm_gradients_match_fd_every_parameter(output_bias, intercept_column):
+def test_lstm_gradients_match_fd_every_parameter():
     for seed in range(3):
         rng = np.random.default_rng(300 + seed)
-        net = LstmQuantileNet(lags=4, hidden_size=3, output_bias=output_bias, intercept_column=intercept_column)
-        init_weights(net, "standard_normal", seed=seed)
+        net = init_weights(LstmQuantileNet(lags=4, hidden_size=3), "standard_normal", seed=seed)
         X = rng.normal(size=(6, net.dim))
-        if intercept_column:
-            X[:, 0] = 1.0
+        X[:, 0] = 1.0
         fd_check(net, X, rng, n_checks=None)
 
 
@@ -151,12 +148,10 @@ def test_lstm_forward_equals_forward_train_exactly():
 ONE_PASS_NETS = {
     "linear-identity": lambda: LinearQuantileNet(8),
     "linear-elu": lambda: LinearQuantileNet(8, activation="elu"),
-    "reg-linear-dropout": lambda: RegularizedLinearNet(8, "elu", dropout_rate=0.3, l2_coeff=1e-2),
-    **{f"stacked-{act}": (lambda act=act: StackedUnitNet(8, units=8, activation=act, l2_coeff=1e-3))
+    "reg-linear-dropout": lambda: RegularizedLinearNet(8, dropout_rate=0.3, l2_coeff=1e-2),
+    **{f"stacked-{act}": (lambda act=act: StackedUnitNet(8, units=8, activation=act))
        for act in ("tanh", "sigmoid", "elu", "relu")},
     "lstm": lambda: LstmQuantileNet(lags=7, hidden_size=8),
-    "lstm-no-output-bias": lambda: LstmQuantileNet(lags=7, hidden_size=8, output_bias=False),
-    "lstm-no-intercept": lambda: LstmQuantileNet(lags=8, hidden_size=8, intercept_column=False),
     "tobit-fixed-sigma": lambda: TobitNet(8, sigma=1.5),
     "tobit-learned-sigma": lambda: TobitNet(8, estimate_sigma=True),
 }
@@ -170,8 +165,7 @@ def test_one_pass_forward_equals_separate_calls(case, n_a, n_b):
     net = init_weights(ONE_PASS_NETS[case](), "standard_normal", seed=n_a)
     rng = np.random.default_rng(n_b)
     X = 1.0 + np.abs(rng.normal(size=(n_a + n_b, net.dim)))
-    if not isinstance(net, LstmQuantileNet) or net.intercept_column:
-        X[:, 0] = 1.0
+    X[:, 0] = 1.0
     A, B = X[:n_a].copy(), X[n_a:].copy()
     dpred = rng.normal(size=n_a)
     separate_rng, one_pass_rng = np.random.default_rng(7), np.random.default_rng(7)
@@ -210,7 +204,7 @@ def test_gradient_suite_seeded_configs(family):
         elif family == "reg":
             net = RegularizedLinearNet(lags + 1, dropout_rate=0.3, l2_coeff=0.01)
         elif family == "stacked":
-            net = StackedUnitNet(lags + 1, units=3, activation="tanh", l2_coeff=0.01)
+            net = StackedUnitNet(lags + 1, units=3, activation="tanh")
         else:
             net = LstmQuantileNet(lags=lags, hidden_size=3)
         init_weights(net, "standard_normal", seed=seed)
@@ -371,9 +365,9 @@ def test_mirror_does_not_train_directly():
 
 @pytest.mark.parametrize("make", [
     lambda: (LinearQuantileNet, dict(dim=4, activation="elu")),
-    lambda: (RegularizedLinearNet, dict(dim=4, activation="elu", dropout_rate=0.3, l2_coeff=0.05)),
-    lambda: (StackedUnitNet, dict(dim=4, units=2, activation="relu", l2_coeff=0.01)),
-    lambda: (LstmQuantileNet, dict(lags=3, hidden_size=2, output_bias=False, intercept_column=False)),
+    lambda: (RegularizedLinearNet, dict(dim=4, dropout_rate=0.3, l2_coeff=0.05)),
+    lambda: (StackedUnitNet, dict(dim=4, units=2, activation="relu")),
+    lambda: (LstmQuantileNet, dict(lags=3, hidden_size=2)),
     lambda: (TobitNet, dict(dim=4, sigma=2.0, estimate_sigma=True)),
 ])
 def test_serialization_round_trip(make):

@@ -137,7 +137,7 @@ def test_fit_mirrors_right_censored_data():
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 60, 2)).mirrored()
     net = init_weights(LinearQuantileNet(3), "ones")
     result = fit(net.copy(), "censored_nll", ds, ds, TrainConfig(max_epochs=20), theta=0.3)
-    assert isinstance(result.net, MirrorWrapper) and result.mirrored and result.theta == 0.3
+    assert isinstance(result.net, MirrorWrapper) and result.theta == 0.3
     assert not isinstance(result.net.inner, MirrorWrapper)
     with pytest.raises(ValueError, match="left-censored"):
         CensoredQrLoss(ds, ds, 0.5, net)
@@ -178,7 +178,7 @@ def test_fit_calls_forward_train_once_per_epoch_first(max_epochs):
     call; the benchmark's epoch clock relies on it."""
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 21))
     train, val, _ = split(ds, seed=22)
-    net = init_weights(RegularizedLinearNet(3, "elu"), "ones")
+    net = init_weights(RegularizedLinearNet(3), "ones")
     calls = []
 
     def recorded(name, method):
@@ -238,7 +238,6 @@ def test_mirror_fit_matches_direct_fit_on_negated_benchmark():
     mirrored = fit(init_weights(LinearQuantileNet(3), "ones"), "censored_nll",
                    train.mirrored(), val.mirrored(), cfg, theta=0.95)
     assert isinstance(mirrored.net, MirrorWrapper)
-    assert mirrored.mirrored
     got = mirrored.net.forward(test.mirrored().X)
     want = -direct.net.forward(test.X)
     assert np.max(np.abs(got - want)) < 1e-6
@@ -355,7 +354,8 @@ def test_fit_result_serialization_round_trip():
     clone = net_from_dict(loaded["net"])
     assert np.allclose(clone.forward(test.X), result.net.forward(test.X))
     assert loaded["diagnostics"] == result.diagnostics
-    assert loaded["diagnostics"]["stop_reason"] == ("max_epochs" if result.hit_max_epochs else "patience")
+    ran_out = result.stopping_epoch == TrainConfig().max_epochs - 1
+    assert loaded["diagnostics"]["stop_reason"] == ("max_epochs" if ran_out else "patience")
     assert 0.0 <= loaded["diagnostics"]["clip_share"] <= 1.0
 
 

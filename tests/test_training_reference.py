@@ -19,6 +19,7 @@ from cqrnet.datagen import CensoredDataset
 from cqrnet.models import (
     LinearQuantileNet,
     LstmQuantileNet,
+    MirrorWrapper,
     RegularizedLinearNet,
     StackedUnitNet,
     init_weights,
@@ -43,6 +44,10 @@ def tobit_terms(ds, means, sigma):
     erfc = np.array([math.erfc(v) for v in -(sign * z) / math.sqrt(2.0)])
     prob = np.maximum(0.5 * erfc, 1e-300)
     return z, prob, sign * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+
+
+# Adam's constants, as Kingma and Ba give them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def reference_fit(net, loss_kind, train, val, cfg, theta=None):
@@ -104,12 +109,12 @@ def reference_fit(net, loss_kind, train, val, cfg, theta=None):
             grads = {k: g * (cfg.clip_norm / norm) for k, g in grads.items()}
             clipped += 1
         steps += 1
-        c1 = 1.0 - cfg.adam_beta1**steps
-        c2 = 1.0 - cfg.adam_beta2**steps
+        c1 = 1.0 - BETA1**steps
+        c2 = 1.0 - BETA2**steps
         for k, g in grads.items():
-            m[k] = cfg.adam_beta1 * m[k] + (1.0 - cfg.adam_beta1) * g
-            v[k] = cfg.adam_beta2 * v[k] + (1.0 - cfg.adam_beta2) * g * g
-            net.params[k] = net.params[k] - cfg.learning_rate * (m[k] / c1) / (np.sqrt(v[k] / c2) + cfg.adam_eps)
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            net.params[k] = net.params[k] - cfg.learning_rate * (m[k] / c1) / (np.sqrt(v[k] / c2) + EPS)
     return {
         "train_trace": train_trace,
         "val_trace": val_trace,
@@ -136,9 +141,8 @@ def censored_data(dim, n, seed, positive=False):
 CASES = {
     "linear-identity": (lambda: LinearQuantileNet(4), "censored_nll", 0.3),
     "linear-elu": (lambda: LinearQuantileNet(4, activation="elu"), "tilted", 0.7),
-    "reg-linear-dropout": (lambda: RegularizedLinearNet(4, "elu", dropout_rate=0.2, l2_coeff=1e-2),
-                           "censored_nll", 0.5),
-    "stacked": (lambda: StackedUnitNet(4, units=3, activation="tanh", l2_coeff=1e-3), "censored_nll", 0.9),
+    "reg-linear-dropout": (lambda: RegularizedLinearNet(4, dropout_rate=0.2, l2_coeff=1e-2), "censored_nll", 0.5),
+    "stacked": (lambda: StackedUnitNet(4, units=3, activation="tanh"), "censored_nll", 0.9),
     "lstm": (lambda: LstmQuantileNet(lags=3, hidden_size=3), "tilted", 0.5),
     "tobit-fixed-sigma": (lambda: TobitNet(4, sigma=1.5), "tobit", None),
     "tobit-learned-sigma": (lambda: TobitNet(4, estimate_sigma=True), "tobit", None),
@@ -172,7 +176,7 @@ def test_mirrored_fit_matches_reference_loop():
     net = init_weights(LinearQuantileNet(4, activation="elu"), "standard_normal", seed=3)
     want = reference_fit(net.copy(), "censored_nll", train.mirrored(), val.mirrored(), cfg, 1.0 - 0.8)
     got = fit(net, "censored_nll", train, val, cfg, 0.8)
-    assert got.mirrored and got.theta == 0.8
+    assert isinstance(got.net, MirrorWrapper) and got.theta == 0.8
     assert got.train_trace == want["train_trace"]
     assert got.val_trace == want["val_trace"]
     assert (got.best_epoch, got.stopping_epoch) == (want["best_epoch"], want["stopping_epoch"])
