@@ -250,8 +250,9 @@ def cmd_evaluate(args, parser):
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
         try:
             fits[(model, float(doc["theta"]))] = net_from_dict(doc["net"])
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f"a fit result needs the key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{name}: {why}") from None
     if not fits:
         parser.error(f"no fit-*.json results under {args.fits}")
 
@@ -335,6 +336,12 @@ def cmd_replicate(args, parser):
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_int(text):
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cqrnet",
@@ -393,7 +400,7 @@ def build_parser():
     common(r)
     r.add_argument("table", choices=sorted(TABLES))
     # each reaches the table only when given, and only a table that takes it
-    r.add_argument("--replicates", type=int, help="datasets (t1) or replicates per cell")
+    r.add_argument("--replicates", type=_positive_int, help="datasets (t1) or replicates per cell")
     r.add_argument("--zero-noise", action="store_true", default=None, help="t2 only: noiseless debug generator")
     r.add_argument("--jobs", type=int, help="t4-synthetic only: worker processes for its cells")
     r.set_defaults(func=cmd_replicate)

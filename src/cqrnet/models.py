@@ -15,8 +15,10 @@ Families
   hidden state plus an output bias. Its rows carry the intercept slot like
   every other family's; the cell reads only the lag columns after it. One
   step loop serves evaluation and the recorded training pass; each step
-  takes one matmul and one tanh for all four gates (see the class
-  docstring for the fused gates and the cache layout).
+  takes one stacked matmul and one tanh for all four gates, held
+  gate-major so that every elementwise op runs on a contiguous block. A
+  training pass reuses its state buffers while the row counts stay the
+  same (see the class docstring for the fused gates and the buffers).
 * TobitNet: the linear mean x . beta of the Tobit latent N(x . beta,
   sigma^2), sigma fixed or learned as log_sigma; `quantile(X, theta)` is
   x . beta + sigma * Phi^{-1}(theta).
@@ -296,26 +298,31 @@ class LstmQuantileNet(_Net):
     Gate order in the stacked parameters is (input, forget, output,
     candidate); sigmoid gates, tanh candidate and cell output.
 
-    Each step computes all four gates with one matmul and one tanh. Step
-    t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
-    [w_h^T; w_x; b] of shape (h + 2, 4h), whose columns are scaled by s:
-    1/2 for the sigmoid gates, 1 for the candidate. Each gate is then
-    s * tanh(s * z) + 1 - s, which is sigmoid(z) for s = 1/2 and tanh(z)
-    for s = 1. `forward` and `forward_train` run the same loop (`_pass`)
-    over state arrays for all rows; a training pass keeps their first n
-    rows (the gates as a contiguous copy, which `backward` reads faster).
-    The cache over n rows and T lags holds:
+    Each step computes all four gates with one stacked matmul and one tanh:
+    the row [h_{t-1}, x_t, 1] times the stacked weights [w_h^T; w_x; b],
+    whose sigmoid columns are scaled by 1/2, viewed gate-major as
+    (4, h + 2, h). A sigmoid gate is then 0.5 * tanh(z / 2) + 0.5, and the
+    candidate tanh(z) + 0.0 (the shift turns a -0.0 into +0.0). `forward`
+    and `forward_train` run the same loop (`_pass`), whose elementwise ops
+    all act on contiguous (rows, h) or (3, rows, h) blocks. The buffers
+    over T lags, of which `backward` reads the first n rows, are:
 
-    * rows (T + 1, n, h + 2): [h_{t-1}, x_t, 1] for each step; the hidden
-      part of the last slot is the final hidden state;
-    * gates (T, n, 4h): the gate activations in gate order;
-    * cs (T + 1, n, h): the cell states, from the zero initial state on;
-    * tanh_cs (T, n, h): tanh of each step's new cell state;
-    * scale (n, 4h): s repeated over the rows.
+    * rows (T + 1, rows, h + 2): [h_{t-1}, x_t, 1] for each step; the
+      hidden part of the last slot is the final hidden state;
+    * gates (T, 4, rows, h): the gate activations, gate-major;
+    * cs (T + 1, rows, h) and tanh_cs (T, rows, h): the cell states from
+      the zero initial state on, and tanh of each new one;
+    * dz (T, n, 4h), row-major, dgates (T, 4, n, h) and dtanh (T, n, h).
 
-    `backward` writes each step's pre-activation gradients into one
-    (T, n, 4h) buffer, and one contraction of that buffer with `rows`
-    gives the w_h, w_x and b gradients together.
+    They and their per-step views are built once per (rows, n) and kept
+    in the cache, so a training pass of the same shape reuses them and
+    `copy` drops them; `forward` builds its own and keeps none.
+
+    `backward` writes each step's four gate products into one (4, n, h)
+    block and multiplies it by the gate derivatives straight into dz's
+    row-major step slot. The orientation of dz sets the last bit of
+    `dz @ w_h` and of the one contraction of dz with `rows` that gives the
+    w_h, w_x and b gradients together, so both keep the row-major operands.
     """
 
     family = "lstm"
@@ -335,8 +342,6 @@ class LstmQuantileNet(_Net):
             "w_out": np.zeros(h),
             "b_out": np.zeros(1),
         }
-        # per-column gate scale s; then d gate / dz = (gate - (1 - 2s)) * (1 - gate)
-        self._gate_scale = np.repeat([0.5, 0.5, 0.5, 1.0], h)
 
     @property
     def dim(self):
@@ -345,63 +350,75 @@ class LstmQuantileNet(_Net):
     # bound on the class itself: perfbench wraps these two by class
     forward, forward_train = _Net.forward, _Net.forward_train
 
-    def _pass(self, X, n):
-        # lag columns are newest-first; the recurrence runs oldest-first,
-        # so row t of the (T, rows) sequence is step t
-        seq = X[:, :0:-1].T
-        steps, n_rows = seq.shape
-        hsz = self.hidden_size
-        # step t multiplies the row [h_{t-1}, x_t, 1] by the stacked weights
-        weights = np.vstack([self.params["w_h"].T, self.params["w_x"], self.params["b"]]) * self._gate_scale
-        rows = np.empty((steps + 1, n_rows, hsz + 2))
-        rows[0, :, :hsz] = 0.0
-        rows[:-1, :, hsz] = seq
+    def _buffers(self, n_rows, n):
+        """The state buffers of a pass over n_rows rows that records the
+        first n, with the per-step views of both loops (backward's last
+        step first)."""
+        steps, hsz = self.lags, self.hidden_size
+        rows = np.zeros((steps + 1, n_rows, hsz + 2))
         rows[:, :, hsz + 1] = 1.0
-        scale = np.broadcast_to(self._gate_scale, (n_rows, 4 * hsz)).copy()
-        shift = 1.0 - scale
-        gates = np.empty((steps, n_rows, 4 * hsz))
+        gates = np.empty((steps, 4, n_rows, hsz))
         cs = np.zeros((steps + 1, n_rows, hsz))
         tanh_cs = np.empty((steps, n_rows, hsz))
-        for row, h, g, c_prev, c, tanh_c in zip(rows, rows[1:, :, :hsz], gates, cs, cs[1:], tanh_cs):
-            _matmul_rows(row, weights, n, out=g)
+        dz, dgates, dtanh = np.empty((steps, n, 4 * hsz)), np.empty((steps, 4, n, hsz)), np.empty((steps, n, hsz))
+        forward = list(zip(rows[:-1, :n], rows[:-1, n:], gates[:, :, :n], gates[:, :, n:], gates, gates[:, :3],
+                           *gates.transpose(1, 0, 2, 3), cs, cs[1:], tanh_cs, rows[1:, :, :hsz]))
+        backward = list(zip(dtanh, gates[:, 0, :n], gates[:, 1, :n], gates[:, 3, :n], cs[:-1, :n], tanh_cs[:, :n],
+                            dgates, dz, dz.reshape(steps, n, 4, hsz).transpose(0, 2, 1, 3)))[::-1] if n else None
+        return (n_rows, n), rows, gates, tanh_cs, dz, dgates, dtanh, np.empty((4, n, hsz)), forward, backward
+
+    def _pass(self, X, n):
+        hsz = self.hidden_size
+        shape = (X.shape[0], n)
+        work = self._cache if n and self._cache is not None and self._cache[0] == shape else self._buffers(*shape)
+        rows, forward = work[1], work[-2]
+        # lag columns are newest-first; the recurrence runs oldest-first
+        rows[:-1, :, hsz] = X[:, :0:-1].T
+        weights = np.vstack([self.params["w_h"].T, self.params["w_x"], self.params["b"]])
+        weights[:, : 3 * hsz] *= 0.5
+        stacked = weights.reshape(hsz + 2, 4, hsz).transpose(1, 0, 2)
+        # rows [:n] and [n:] in separate matmuls, as in `_matmul_rows`
+        for head, tail, g_head, g_tail, g, sig, gi, gf, go, gc, c_prev, c, tanh_c, h in forward:
+            np.matmul(head, stacked, out=g_head)
+            np.matmul(tail, stacked, out=g_tail)
             np.tanh(g, out=g)
-            g *= scale
-            g += shift
-            np.multiply(g[:, hsz : 2 * hsz], c_prev, out=c)
-            c += g[:, :hsz] * g[:, 3 * hsz :]
-            np.multiply(g[:, 2 * hsz : 3 * hsz], np.tanh(c, out=tanh_c), out=h)
+            sig *= 0.5
+            sig += 0.5
+            gc += 0.0
+            np.multiply(gf, c_prev, out=c)
+            c += gi * gc
+            np.multiply(go, np.tanh(c, out=tanh_c), out=h)
         if n:
-            self._cache = (rows[:, :n], np.ascontiguousarray(gates[:, :n]), cs[:, :n], tanh_cs[:, :n], scale[:n])
+            self._cache = work
         out = _matmul_rows(rows[-1, :, :hsz], self.params["w_out"], n)
         out += self.params["b_out"][0]
         return out
 
     def backward(self, dpred):
-        rows, gates, cs, tanh_cs, scale = self._require_cache()
+        (_, n), rows, gates, tanh_cs, dz_all, dgates, dtanh, prod, _, backward = self._require_cache()
         d = np.asarray(dpred, dtype=float)
-        steps, n, width = gates.shape
-        hsz = self.hidden_size
-        grads = {"w_out": rows[-1, :, :hsz].T @ d, "b_out": np.array([d.sum()])}
-        gi, gf, go, gc = (gates[:, :, k * hsz : (k + 1) * hsz] for k in range(4))
-        # g(1 - g) for the sigmoid gates, (1 + g)(1 - g) for the candidate
-        dgates = (gates - (1.0 - 2.0 * scale)) * (1.0 - gates)
-        dtanh = go * (1.0 - tanh_cs**2)
-        dz_all = np.empty(gates.shape)
+        steps, hsz = self.lags, self.hidden_size
+        grads = {"w_out": rows[-1, :n, :hsz].T @ d, "b_out": np.array([d.sum()])}
+        g = gates[:, :, :n]
+        # d gate / dz: g(1 - g) for the sigmoid gates, (1 + g)(1 - g) for the candidate
+        np.subtract(1.0, g, out=dgates)
+        dgates[:, :3] *= g[:, :3]
+        dgates[:, 3] *= g[:, 3] + 1.0
+        np.multiply(g[:, 2], 1.0 - tanh_cs[:, :n] ** 2, out=dtanh)
         w_h = self.params["w_h"]
         dh = d[:, None] * self.params["w_out"][None, :]
         dc = np.zeros_like(dh)
-        for t in range(steps - 1, -1, -1):
-            dz = dz_all[t]
-            dc = dc + dh * dtanh[t]
-            np.multiply(dc, gc[t], out=dz[:, :hsz])
-            np.multiply(dc, cs[t], out=dz[:, hsz : 2 * hsz])
-            np.multiply(dh, tanh_cs[t], out=dz[:, 2 * hsz : 3 * hsz])
-            np.multiply(dc, gi[t], out=dz[:, 3 * hsz :])
-            dz *= dgates[t]
+        for dtanh_t, gi, gf, gc, c_prev, tanh_c, dg, dz, dz_gates in backward:
+            dc = dc + dh * dtanh_t
+            np.multiply(dc, gc, out=prod[0])
+            np.multiply(dc, c_prev, out=prod[1])
+            np.multiply(dh, tanh_c, out=prod[2])
+            np.multiply(dc, gi, out=prod[3])
+            np.multiply(prod, dg, out=dz_gates)
             dh = dz @ w_h
-            dc = dc * gf[t]
+            dc = dc * gf
         # one contraction over steps and rows for w_h, w_x and b together
-        stacked = dz_all.reshape(steps * n, width).T @ rows[:-1].reshape(steps * n, hsz + 2)
+        stacked = dz_all.reshape(steps * n, 4 * hsz).T @ rows[:-1, :n].reshape(steps * n, hsz + 2)
         grads["w_h"] = stacked[:, :hsz]
         grads["w_x"] = stacked[:, hsz]
         grads["b"] = stacked[:, hsz + 1]

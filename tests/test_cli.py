@@ -474,6 +474,45 @@ def test_evaluate_refuses_net_documents_of_another_format(tmp_path, capsys):
     assert run(evaluate) == 0
 
 
+@pytest.mark.parametrize("change, says", [
+    (lambda doc: doc.pop("theta"), "'theta'"),
+    (lambda doc: doc.pop("net"), "'net'"),
+    (lambda doc: doc.update(theta="median"), "'median'"),
+    (lambda doc: doc.update(theta=None), "NoneType"),
+], ids=["no-theta", "no-net", "theta-string", "theta-null"])
+def test_evaluate_refuses_a_fit_json_without_a_numeric_theta_or_a_net(tmp_path, capsys, change, says):
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-standard_gaussian.csv"
+    fits = tmp_path / "fits"
+    assert run(["fit", "--data", data, "--models", "c-linear", "--thetas", "0.5", "--learning-rate", 0.01,
+                "--max-epochs", 20, "--seed", 1, "--out-dir", fits]) == 0
+    cell = fits / "fit-c-linear-theta0.5.json"
+    doc = json.loads(cell.read_text())
+    change(doc)
+    cell.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", tmp_path / "e"]) == 2
+    err = capsys.readouterr().err
+    assert "fit-c-linear-theta0.5.json" in err and says in err
+    assert not (tmp_path / "e" / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_replicate_needs_a_positive_replicate_count(tmp_path, capsys, count):
+    """A count below one is a usage error before any table runs, also from --config."""
+    with pytest.raises(SystemExit) as exc:
+        run(["replicate", "t3", "--replicates", count, "--out-dir", tmp_path / "rep"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"replicates": count}))
+    with pytest.raises(SystemExit) as exc:
+        run(["replicate", "t3", "--config", config, "--out-dir", tmp_path / "rep"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rep").exists()
+
+
 def test_readme_names_only_registered_flags():
     """Every --flag in README.md's CLI section is an option of some subcommand."""
     import re

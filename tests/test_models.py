@@ -136,6 +136,32 @@ def test_lstm_matches_reference_loop():
             assert np.max(np.abs(grads[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
 
 
+# SHA-256 of forward_train's outputs and backward's gradients (param_order),
+# recorded before the gate-major layout: any change of summation order or
+# operand orientation in the LSTM moves a last bit and fails here. The
+# digests hold for one numpy and BLAS build; record them again if it changes.
+LSTM_BITS = {
+    8: "befb136c4d995c93a524b40c6e74122d137b47d3b9689508c5811509bb714f2c",
+    58: "feb8b82e71c7b1839f6ce1ff724df83510d79df36cd623c9cf5d4dfb06061ae5",
+    241: "b935edf05083cf3f69813e632ce22ff4c5d08db2076b1482c4d66137c05ddbf1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LSTM_BITS))
+def test_lstm_bits_pinned(n):
+    """n training rows stacked on n validation rows, lags 7, hidden 8."""
+    import hashlib
+
+    net = init_weights(LstmQuantileNet(lags=7, hidden_size=8), "standard_normal", seed=n)
+    rng = np.random.default_rng(1000 + n)
+    X = np.column_stack([np.ones(2 * n), 2.0 * rng.normal(size=(2 * n, 7))])
+    digest = hashlib.sha256(net.forward_train(X, None, n).tobytes())
+    grads = net.backward(rng.normal(size=n))
+    for k in net.param_order:
+        digest.update(grads[k].tobytes())
+    assert digest.hexdigest() == LSTM_BITS[n]
+
+
 def test_lstm_forward_equals_forward_train_exactly():
     rng = np.random.default_rng(31)
     net = init_weights(LstmQuantileNet(lags=7, hidden_size=8), "standard_normal", seed=5)
@@ -180,6 +206,31 @@ def test_one_pass_forward_equals_separate_calls(case, n_a, n_b):
     for k, g in want_grads.items():
         assert np.array_equal(got_grads[k], g), k
     assert one_pass_rng.bit_generator.state == separate_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PASS_NETS))
+def test_forward_between_a_training_pass_and_backward_changes_nothing(case):
+    """Evaluation passes over another row count, and over other rows of
+    the training pass's count, leave what backward reads alone, also when
+    the training pass reuses the buffers of the one before."""
+    net = init_weights(ONE_PASS_NETS[case](), "standard_normal", seed=3)
+    rng = np.random.default_rng(4)
+    X = 1.0 + np.abs(rng.normal(size=(139, net.dim)))
+    X[:, 0] = 1.0
+    A, B = X[:116], X[116:]
+    dpred = rng.normal(size=58)
+
+    want = net.forward_train(A, np.random.default_rng(5), 58)
+    want_grads = net.backward(dpred)
+    for _ in range(2):
+        got = net.forward_train(A, np.random.default_rng(5), 58)
+        net.forward(B)
+        net.forward(X[23:])
+        got_grads = net.backward(dpred)
+        assert np.array_equal(got, want)
+        assert list(got_grads) == list(want_grads)
+        for k, g in want_grads.items():
+            assert np.array_equal(got_grads[k], g), k
 
 
 def test_sigmoid_tails_and_accuracy():

@@ -11,7 +11,16 @@ from cqrnet.datagen import (
     gen_synthetic,
     split,
 )
-from cqrnet.models import LinearQuantileNet, MirrorWrapper, RegularizedLinearNet, init_weights
+from cqrnet.models import (
+    LinearQuantileNet,
+    LstmQuantileNet,
+    MirrorWrapper,
+    RegularizedLinearNet,
+    StackedUnitNet,
+    init_weights,
+    net_from_dict,
+)
+from cqrnet.tobit import TobitNet
 from cqrnet.training import (
     AllFitsDivergedError,
     InitCandidate,
@@ -357,6 +366,40 @@ def test_fit_result_serialization_round_trip():
     ran_out = result.stopping_epoch == TrainConfig().max_epochs - 1
     assert loaded["diagnostics"]["stop_reason"] == ("max_epochs" if ran_out else "patience")
     assert 0.0 <= loaded["diagnostics"]["clip_share"] <= 1.0
+
+
+FIT_NETS = {
+    "linear": (lambda: LinearQuantileNet(8), "censored_nll"),
+    "elu": (lambda: LinearQuantileNet(8, activation="elu"), "tilted"),
+    "reg-linear": (lambda: RegularizedLinearNet(8), "censored_nll"),
+    "stacked": (lambda: StackedUnitNet(8, units=3), "censored_nll"),
+    "lstm": (lambda: LstmQuantileNet(lags=7, hidden_size=8), "censored_nll"),
+    "tobit": (lambda: TobitNet(8, estimate_sigma=True), "tobit"),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", sorted(FIT_NETS))
+def test_fitted_nets_carry_no_training_state(case, side):
+    """The net a fit returns, its copies and a copy of the net it trained
+    pickle to the size of the same net rebuilt from its saved form: no
+    recorded pass or reused buffer travels to a worker's result or a file."""
+    import pickle
+
+    make, loss_kind = FIT_NETS[case]
+    rng = np.random.default_rng(6)
+    X = np.column_stack([np.ones(90), rng.normal(size=(90, 7))])
+    y_star = X @ rng.normal(size=8) + rng.normal(size=90)
+    tau = np.zeros(90)
+    censored = y_star < tau if side == "left" else y_star > tau
+    data = CensoredDataset(X=X, y=np.where(censored, tau, y_star), tau=tau, censored=censored, side=side)
+    train, val = data.subset(np.arange(45)), data.subset(np.arange(45, 90))
+    net = init_weights(make(), "standard_normal", seed=2)
+    result = fit(net, loss_kind, train, val, TrainConfig(max_epochs=5), theta=0.5)
+    size = len(pickle.dumps(net_from_dict(result.net.to_dict())))
+    assert len(pickle.dumps(result.net)) == size
+    assert len(pickle.dumps(result.net.copy())) == size
+    assert len(pickle.dumps(net.copy())) == len(pickle.dumps(net_from_dict(net.to_dict())))
 
 
 def test_unaware_val_icp_worse_under_heavy_partial_censoring():
