@@ -12,7 +12,6 @@ from .datagen import (
     CensoredDataset,
     CensoredSeries,
     SyntheticSpec,
-    TripTable,
     bundled_daily_series,
     build_lagged_dataset,
     censor_fleet,
@@ -22,7 +21,6 @@ from .datagen import (
     lag_features,
     latent_quantile,
     split,
-    zero_quantile_fraction,
 )
 from .losses import (
     censored_qr_nll,

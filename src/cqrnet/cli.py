@@ -150,6 +150,14 @@ def _prepare_for_fit(ds, seed):
     return train, val, test
 
 
+def _read_fit(path) -> dict:
+    """A fit JSON document; one that is not an object is a ValueError naming the file."""
+    with open(path) as fh:
+        if isinstance(doc := json.load(fh), dict):
+            return doc
+    raise ValueError(f"{path}: a fit result is a JSON object, not a {type(doc).__name__}")
+
+
 def _split_digest(test) -> str:
     """SHA-256 of the test rows' X and y bytes: which rows `evaluate` may score."""
     return hashlib.sha256(test.X.tobytes() + test.y.tobytes()).hexdigest()
@@ -193,8 +201,7 @@ def cmd_fit(args, parser):
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
-                with open(cell_path) as fh:
-                    doc = json.load(fh)
+                doc = _read_fit(cell_path)
                 if doc.get("test_split_sha256") != split_keys["test_split_sha256"]:
                     raise ValueError(
                         f"{cell_path} was fitted on another split (fit --seed {doc.get('master_seed', 'not recorded')}) "
@@ -240,8 +247,7 @@ def cmd_evaluate(args, parser):
     for name in sorted(os.listdir(args.fits)):
         if not (name.startswith("fit-") and "-theta" in name and name.endswith(".json")):
             continue
-        with open(os.path.join(args.fits, name)) as fh:
-            doc = json.load(fh)
+        doc = _read_fit(os.path.join(args.fits, name))
         if doc.get("test_split_sha256") != digest:
             raise ValueError(
                 f"{name} was fitted on another split than the test rows that evaluate --seed {args.seed} "

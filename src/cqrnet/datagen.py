@@ -3,11 +3,11 @@
 The synthetic benchmark draws y* = x0 + x1 + x2 + eps with x0 = 1,
 x1 uniform on {-1, +1}, x2 ~ N(0,1), left-censored at zero (y = max(0, y*)).
 Noise laws: standard Gaussian, heteroskedastic (1 + x2) N(0,1), and the
-Gaussian mixture 0.75 N(0,1) + 0.25 N(0, 2^2). Latent conditional
-quantiles are analytic; for the mixture the exact law (bisection on its
-CDF) is the primary ground truth and the single-Gaussian stand-in with
-scale sqrt(0.75^2 + 0.25^2) is available as `mixture_compat` because
-published evaluations used that closed form.
+Gaussian mixture 0.75 N(0,1) + 0.25 N(0, 2^2). A dataset holds only its
+observations; `latent_quantile` is the ground truth, analytic for any rows.
+For the mixture the exact law (bisection on its CDF) is primary, and the
+single-Gaussian stand-in with scale sqrt(0.75^2 + 0.25^2) is available as
+`mixture_compat` because published evaluations used that closed form.
 
 Covariate matrices always carry the intercept slot in column 0.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,8 @@ __all__ = [
     "CensoredDataset",
     "mirror_covariates",
     "CensoredSeries",
-    "TripTable",
     "gen_synthetic",
     "latent_quantile",
-    "attach_latent_quantiles",
-    "zero_quantile_fraction",
     "censor_partial",
     "censor_fleet",
     "gen_trip_table",
@@ -66,11 +63,11 @@ class SyntheticSpec:
 
 @dataclass
 class CensoredDataset:
-    """Covariate rows with censored targets.
+    """Covariate rows with censored targets: the observations only.
 
-    X includes the intercept column (x0 = 1). `true_quantiles` maps a
-    quantile level to the *latent* conditional quantiles q_theta(y*|x);
-    the observable quantile of y is their clamp at the threshold.
+    X includes the intercept column (x0 = 1). Ground truth is not stored:
+    `latent_quantile` gives the latent quantiles q_theta(y*|x) of any rows,
+    and the observable quantile of y is their clamp at the threshold.
     """
 
     X: np.ndarray
@@ -79,7 +76,6 @@ class CensoredDataset:
     censored: np.ndarray
     side: str = "left"
     y_star: np.ndarray | None = None
-    true_quantiles: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -120,14 +116,12 @@ class CensoredDataset:
             censored=self.censored[idx],
             side=self.side,
             y_star=None if self.y_star is None else self.y_star[idx],
-            true_quantiles={t: v[idx] for t, v in self.true_quantiles.items()},
         )
 
     def mirrored(self) -> "CensoredDataset":
         """Negated view: right-censored data becomes left-censored (and
-        vice versa); quantile levels map to their mirrors 1 - theta, rounded
-        to 12 decimals so that every level of at most 12 decimals comes back
-        exactly when mirrored twice."""
+        vice versa); the theta quantile of the mirror is minus the
+        1 - theta quantile of the original."""
         return CensoredDataset(
             X=mirror_covariates(self.X),
             y=-self.y,
@@ -135,7 +129,6 @@ class CensoredDataset:
             censored=self.censored.copy(),
             side="left" if self.side == "right" else "right",
             y_star=None if self.y_star is None else -self.y_star,
-            true_quantiles={round(1.0 - t, 12): -v for t, v in self.true_quantiles.items()},
         )
 
 
@@ -161,24 +154,6 @@ class CensoredSeries:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-
-@dataclass
-class TripTable:
-    """Per-vehicle daily trip counts over a contiguous day horizon."""
-
-    counts: np.ndarray  # shape (n_vehicles, n_days)
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_days(self) -> int:
-        return self.counts.shape[1]
-
-    def daily_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0).astype(float)
 
 
 def gen_synthetic(spec: SyntheticSpec, zero_noise: bool = False) -> CensoredDataset:
@@ -227,22 +202,6 @@ def latent_quantile(noise, theta, X, mixture_compat=False):
     return m + mixture_quantile(theta)
 
 
-def attach_latent_quantiles(ds, noise, thetas, mixture_compat=False):
-    """Fill ds.true_quantiles with latent quantiles at the given levels."""
-    for theta in thetas:
-        ds.true_quantiles[float(theta)] = latent_quantile(noise, theta, ds.X, mixture_compat)
-    return ds
-
-
-def zero_quantile_fraction(ds: CensoredDataset, theta) -> float:
-    """Fraction of rows whose observable quantile max(0, q_theta(y*|x))
-    is exactly zero, i.e. whose latent quantile is clamped."""
-    theta = float(theta)
-    if theta not in ds.true_quantiles:
-        raise ValueError(f"dataset has no ground-truth quantiles at theta={theta}")
-    return float(np.mean(ds.true_quantiles[theta] <= 0.0))
-
-
 def censor_partial(series, gamma, c1, c2, seed) -> CensoredSeries:
     """Right-censor a random gamma-portion of the series.
 
@@ -269,20 +228,21 @@ def censor_partial(series, gamma, c1, c2, seed) -> CensoredSeries:
     return CensoredSeries(y=y, tau=tau, censored=censored, y_star=y_star, side="right")
 
 
-def censor_fleet(trips: TripTable, alpha, seed) -> CensoredSeries:
-    """Remove a random alpha-portion of vehicles; every daily count is
-    then right-censored at the observed value (complete censorship)."""
-    if trips.n_vehicles < 1:
+def censor_fleet(trips, alpha, seed) -> CensoredSeries:
+    """Remove a random alpha-portion of vehicles, the rows of `trips`; every
+    daily count is then right-censored at the observed value (complete censorship)."""
+    n_vehicles = trips.shape[0]
+    if n_vehicles < 1:
         raise ValueError("trip table has no vehicles")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     rng = np.random.default_rng(seed)
-    k = int(round(alpha * trips.n_vehicles))
-    removed = rng.choice(trips.n_vehicles, size=k, replace=False)
-    keep = np.ones(trips.n_vehicles, dtype=bool)
+    k = int(round(alpha * n_vehicles))
+    removed = rng.choice(n_vehicles, size=k, replace=False)
+    keep = np.ones(n_vehicles, dtype=bool)
     keep[removed] = False
-    y_star = trips.daily_totals()
-    y = trips.counts[keep].sum(axis=0).astype(float)
+    y_star = trips.sum(axis=0).astype(float)
+    y = trips[keep].sum(axis=0).astype(float)
     return CensoredSeries(
         y=y,
         tau=y.copy(),
@@ -292,8 +252,8 @@ def censor_fleet(trips: TripTable, alpha, seed) -> CensoredSeries:
     )
 
 
-def gen_trip_table(n_days, n_vehicles, per_vehicle_rate, weekly_amplitude, seed) -> TripTable:
-    """Poisson trips per vehicle and day, rate modulated by a weekly sine."""
+def gen_trip_table(n_days, n_vehicles, per_vehicle_rate, weekly_amplitude, seed) -> np.ndarray:
+    """(n_vehicles, n_days) Poisson trip counts, rate modulated by a weekly sine."""
     if n_days < 1 or n_vehicles < 1:
         raise ValueError("n_days and n_vehicles must be positive")
     if per_vehicle_rate < 0.0:
@@ -303,8 +263,7 @@ def gen_trip_table(n_days, n_vehicles, per_vehicle_rate, weekly_amplitude, seed)
     rng = np.random.default_rng(seed)
     days = np.arange(n_days)
     rate = per_vehicle_rate * (1.0 + weekly_amplitude * np.sin(2.0 * np.pi * days / 7.0))
-    counts = rng.poisson(lam=np.broadcast_to(rate, (n_vehicles, n_days)))
-    return TripTable(counts=counts)
+    return rng.poisson(lam=np.broadcast_to(rate, (n_vehicles, n_days)))
 
 
 # Stand-in daily-count series used where a real provider series would go.
@@ -315,10 +274,10 @@ BUNDLED_SERIES_AMPLITUDE = 0.35
 
 def bundled_daily_series(n_days=730, seed=2024) -> np.ndarray:
     """Synthetic daily demand series (weekly-seasonal Poisson totals)."""
-    table = gen_trip_table(
+    trips = gen_trip_table(
         n_days, BUNDLED_SERIES_VEHICLES, BUNDLED_SERIES_RATE, BUNDLED_SERIES_AMPLITUDE, seed
     )
-    return table.daily_totals()
+    return trips.sum(axis=0).astype(float)
 
 
 def apportion(n, proportions):

@@ -199,8 +199,7 @@ def run_t1(master_seed=0, replicates=20, n=1000) -> TableRun:
             for s in range(replicates):
                 seed = child_seed(master_seed, "t1", noise, "data", s)
                 ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed))
-                datagen.attach_latent_quantiles(ds, noise, [theta], mixture_compat=True)
-                frac = datagen.zero_quantile_fraction(ds, theta)
+                frac = float(np.mean(datagen.latent_quantile(noise, theta, ds.X, mixture_compat=True) <= 0.0))
                 vals.append(frac)
                 raw.append([noise, theta, s, repr(frac)])
             cells[(noise, theta)] = float(np.mean(vals))
@@ -247,17 +246,13 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t2", noise, "data", rep)
             ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed), zero_noise=zero_noise)
-            if zero_noise:
-                # degenerate noise: every latent quantile is the mean itself
-                for theta in THETA_GRID:
-                    ds.true_quantiles[theta] = ds.X.sum(axis=1)
-            else:
-                datagen.attach_latent_quantiles(ds, noise, THETA_GRID, mixture_compat=True)
             train, val, test = datagen.split(
                 ds, seed=child_seed(master_seed, "t2", noise, "split", rep)
             )
             for theta in THETA_GRID:
-                truth = test.true_quantiles[theta]
+                # with degenerate noise every latent quantile is the mean itself
+                truth = (test.X.sum(axis=1) if zero_noise
+                         else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True))
                 for model in _t2_models():
                     result = fit_model(model, train, val, cfg, theta)
                     preds = result.predict(test.X)
@@ -440,8 +435,7 @@ def _t4_cell(task):
     available against runaway predictions while letting the fits anchor
     stably to the observed data's quantiles.
     """
-    master_seed, alpha, rep, model, counts, lags = task
-    trips = datagen.TripTable(counts=counts)
+    master_seed, alpha, rep, model, trips, lags = task
     # Finite budget: the sub-0.1 grid rates crawl from the N(0,1) init and
     # would burn the full default cap without ever winning the validation
     # selection; 1500 epochs is past convergence for the rates that do win.
@@ -494,7 +488,7 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
         datagen.BUNDLED_SERIES_AMPLITUDE, seed=child_seed(master_seed, "t4", "trips"),
     )
     tasks = [
-        (master_seed, alpha, rep, model, trips.counts, lags)
+        (master_seed, alpha, rep, model, trips, lags)
         for alpha in alphas
         for rep in range(replicates)
         for model in models
@@ -548,19 +542,6 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
     )
 
 
-def _range_slices(n_series, lags):
-    """Consecutive-thirds ranges over the series, expressed as lag-row masks."""
-    sizes = datagen.apportion(n_series, (1 / 3, 1 / 3, 1 / 3))
-    a, b = sizes[0], sizes[0] + sizes[1]
-    rows = np.arange(lags, n_series)
-    return (
-        np.flatnonzero(rows < a),
-        np.flatnonzero((rows >= a) & (rows < b)),
-        np.flatnonzero(rows >= b),
-        a,
-    )
-
-
 def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                       c_ranges=((0.01, 0.33), (0.34, 0.66), (0.67, 0.99)),
                       replicates=3, n_inits=3, models=("tl-linear", "c-linear"),
@@ -582,10 +563,11 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     series, gamma, cr[0], cr[1],
                     seed=child_seed(master_seed, "bike", "censor", gamma, cr, rep),
                 )
-                tr_rows, va_rows, te_rows, train_end = _range_slices(cs.n, lags)
-                ratio = train_mean_ratio(cs.y_star[:train_end], cs.y[:train_end])
+                # consecutive thirds of the series; lag row r targets point r + lags
+                thirds = datagen.split_indices(cs.n, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+                ratio = train_mean_ratio(cs.y_star[thirds[0]], cs.y[thirds[0]])
                 ds = datagen.build_lagged_dataset(impute_thresholds(ratio, cs), lags)
-                train, val, test = ds.subset(tr_rows), ds.subset(va_rows), ds.subset(te_rows)
+                train, val, test = (ds.subset(part[part >= lags] - lags) for part in thirds)
                 train_mean = float(np.mean(train.y))
                 for model in models:
                     candidates = []

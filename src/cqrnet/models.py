@@ -536,8 +536,10 @@ def _check_keys(family, part, got, want):
 
 
 def net_from_dict(payload):
-    """Rebuild a net of any family from its to_dict() document; a document
-    whose keys differ from what `to_dict` writes is a ValueError."""
+    """Rebuild a net of any family from its to_dict() document; a document that
+    is no object, or whose keys differ from what `to_dict` writes, is a ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a saved net is a JSON object, not a {type(payload).__name__}")
     family = payload.get("family")
     if family == "mirror":
         _check_keys(family, "the document", payload, ("family", "inner"))

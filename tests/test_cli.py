@@ -498,6 +498,37 @@ def test_evaluate_refuses_a_fit_json_without_a_numeric_theta_or_a_net(tmp_path, 
     assert not (tmp_path / "e" / "evaluation.csv").exists()
 
 
+@pytest.mark.parametrize("command, document", [
+    ("fit", [1]),
+    ("evaluate", [1]),
+    ("evaluate", {"net": [1, 2]}),
+    ("evaluate", {"net": {"family": "mirror", "inner": [1]}}),
+], ids=["fit-list", "evaluate-list", "evaluate-net-list", "evaluate-inner-list"])
+def test_a_fit_json_that_is_no_object_is_a_usage_error(tmp_path, capsys, command, document):
+    """A fit file, its net or a mirror's inner net that is not a JSON object
+    exits 2 naming the file, both where `fit` checks a cell it would skip and
+    where `evaluate` loads it."""
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-standard_gaussian.csv"
+    fits = tmp_path / "fits"
+    fit = ["fit", "--data", data, "--models", "c-linear", "--thetas", "0.5", "--learning-rate", 0.01,
+           "--max-epochs", 20, "--seed", 1, "--out-dir", fits]
+    assert run(fit) == 0
+    cell = fits / "fit-c-linear-theta0.5.json"
+    if isinstance(document, dict):
+        document = {**json.loads(cell.read_text()), **document}
+    cell.write_text(json.dumps(document))
+    capsys.readouterr()
+    if command == "fit":
+        assert run(fit) == 2
+    else:
+        assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", tmp_path / "e"]) == 2
+    err = capsys.readouterr().err
+    assert "fit-c-linear-theta0.5.json" in err and "JSON object" in err and "Traceback" not in err
+    assert json.loads(cell.read_text()) == document
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_replicate_needs_a_positive_replicate_count(tmp_path, capsys, count):
     """A count below one is a usage error before any table runs, also from --config."""

@@ -1,12 +1,17 @@
 """Seed derivation, harness determinism, model registry, table rendering."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from cqrnet.experiments import (
     child_seed,
     parse_model_name,
+    run_bike_protocol,
     run_t1,
+    run_t2,
     run_t4,
 )
 
@@ -83,3 +88,43 @@ def test_t4_lstm_cell_pinned():
     mils = [float(row[4]) for row in run.raw_rows]
     assert mils == pytest.approx([90.9172366289812, 101.52178552829204], rel=1e-6)
     assert run.passed
+
+
+# Each harness at seed 1 on a small grid, and the raw-row columns pinned for
+# it, looked up by name so that a column added later leaves the pin alone.
+TABLE_PINS = {
+    "t1": (lambda: run_t1(master_seed=1, replicates=4),
+           ("noise", "theta", "seed", "zero_fraction"),
+           "ee70cf9f20e5eafa2e35b130e24b77e0fec0007fe3c9d31abfb9dbc072d3beec"),
+    "t2": (lambda: run_t2(master_seed=1, replicates=2, n=400),
+           ("noise", "theta", "model", "subset", "rep", "r2", "mae", "rmse"),
+           "0e64b164a04e26b7f13d058ba8a209e5ba4dcc10ed3ce70e9b08ec1c200f0008"),
+    "t2-zero-noise": (lambda: run_t2(master_seed=1, replicates=1, n=300, zero_noise=True),
+                      ("noise", "theta", "model", "subset", "rep", "r2", "mae", "rmse"),
+                      "883e2b64b16e815184a3b36ba2727cce9edf97a1a0ddf3b74c74e3a33e039980"),
+    "t4": (lambda: run_t4(master_seed=1, replicates=1, alphas=(0.2, 0.4), n_days=120,
+                          models=("tl-linear", "c-linear")),
+           ("model", "alpha", "rep", "icp", "mil"),
+           "ba2e5d0e6cef75a8dee0a6d5b47beddf31655219579756a22db8ea6b21e0dddd"),
+    "bike": (lambda: run_bike_protocol(master_seed=1, gammas=(0.3, 0.9),
+                                       c_ranges=((0.01, 0.33), (0.67, 0.99)),
+                                       replicates=1, n_inits=2, n_days=200),
+             ("model", "gamma", "c1", "c2", "subset", "rep", "icp", "mil", "fallback"),
+             "6a052b066243a2af928fb2668f0b8bca9a4c4883e15e04d9d2cae711913cbca9"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_PINS))
+def test_table_outputs_pinned(table):
+    """SHA-256 of the verdicts and of every raw row's pinned columns, recorded
+    before ground truth and the consecutive split each got one code path: a
+    change anywhere in generation, splitting, fitting or scoring fails here.
+    The digests hold for one numpy and BLAS build; record them again if it
+    changes."""
+    run_table, columns, want = TABLE_PINS[table]
+    run = run_table()
+    at = [run.columns.index(c) for c in columns]
+    digest = hashlib.sha256(json.dumps(run.verdicts, sort_keys=True).encode())
+    for row in run.raw_rows:
+        digest.update(repr([row[i] for i in at]).encode())
+    assert digest.hexdigest() == want

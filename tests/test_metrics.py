@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cqrnet.datagen import SyntheticSpec, attach_latent_quantiles, gen_synthetic
+from cqrnet.datagen import SyntheticSpec, gen_synthetic, latent_quantile
 from cqrnet.metrics import EvalReport, empty_subsets, interval_metrics, point_metrics, subset_report
 from cqrnet.normal import std_normal_quantile
 
@@ -83,18 +83,18 @@ def test_icp_invariant_under_increasing_affine(scale, shift):
 
 def test_subset_report_partition_and_identity():
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 2))
-    attach_latent_quantiles(ds, "standard_gaussian", [0.5])
-    preds = ds.true_quantiles[0.5] + 0.1
-    all_rep = subset_report(ds, "all_test", preds=preds, true_quantiles=ds.true_quantiles[0.5])
-    nc_rep = subset_report(ds, "non_censored_test", preds=preds, true_quantiles=ds.true_quantiles[0.5])
+    truth = latent_quantile("standard_gaussian", 0.5, ds.X)
+    preds = truth + 0.1
+    all_rep = subset_report(ds, "all_test", preds=preds, true_quantiles=truth)
+    nc_rep = subset_report(ds, "non_censored_test", preds=preds, true_quantiles=truth)
     assert all_rep.n == nc_rep.n + int(ds.censored.sum())
     assert all_rep.mae == pytest.approx(0.1)
 
     uncensored = ds.subset(np.flatnonzero(~ds.censored))
     a = subset_report(uncensored, "all_test", preds=preds[~ds.censored],
-                      true_quantiles=ds.true_quantiles[0.5][~ds.censored])
+                      true_quantiles=truth[~ds.censored])
     b = subset_report(uncensored, "non_censored_test", preds=preds[~ds.censored],
-                      true_quantiles=ds.true_quantiles[0.5][~ds.censored])
+                      true_quantiles=truth[~ds.censored])
     assert a.to_dict() == {**b.to_dict(), "subset": "all_test"}
 
 

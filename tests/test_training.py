@@ -405,18 +405,18 @@ def test_fitted_nets_carry_no_training_state(case, side):
 def test_unaware_val_icp_worse_under_heavy_partial_censoring():
     """gamma=0.9: the censorship-unaware tilted fit's validation ICP sits
     farther from 0.9 than the censored fit's, on the bundled series."""
-    from cqrnet.datagen import build_lagged_dataset, bundled_daily_series
-    from cqrnet.experiments import fit_model, _range_slices, child_seed
+    from cqrnet.datagen import build_lagged_dataset, bundled_daily_series, split_indices
+    from cqrnet.experiments import fit_model, child_seed
     from cqrnet.metrics import interval_metrics
 
     series = bundled_daily_series(730, seed=child_seed(0, "bike", "series"))
     dists = {"tl-linear": [], "c-linear": []}
     for rep in range(2):
         cs = censor_partial(series, 0.9, 0.34, 0.66, seed=child_seed(0, "inv", rep))
-        tr_rows, va_rows, _, train_end = _range_slices(cs.n, 7)
-        ratio = train_mean_ratio(cs.y_star[:train_end], cs.y[:train_end])
+        thirds = split_indices(cs.n, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+        ratio = train_mean_ratio(cs.y_star[thirds[0]], cs.y[thirds[0]])
         ds = build_lagged_dataset(impute_thresholds(ratio, cs), 7)
-        train, val = ds.subset(tr_rows), ds.subset(va_rows)
+        train, val, _ = (ds.subset(part[part >= 7] - 7) for part in thirds)
         for model in dists:
             preds = {}
             for theta in (0.05, 0.95):
