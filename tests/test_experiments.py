@@ -12,6 +12,7 @@ from cqrnet.experiments import (
     run_bike_protocol,
     run_t1,
     run_t2,
+    run_t3,
     run_t4,
 )
 
@@ -102,6 +103,9 @@ TABLE_PINS = {
     "t2-zero-noise": (lambda: run_t2(master_seed=1, replicates=1, n=300, zero_noise=True),
                       ("noise", "theta", "model", "subset", "rep", "r2", "mae", "rmse"),
                       "883e2b64b16e815184a3b36ba2727cce9edf97a1a0ddf3b74c74e3a33e039980"),
+    "t3": (lambda: run_t3(master_seed=1, replicates=2, n=400),
+           ("noise", "model", "subset", "rep", "icp", "mil", "n_crossed"),
+           "36addbe75f8d32042ef7b86da71036d59f9eddc834a35fdcca9a87ce2962b399"),
     "t4": (lambda: run_t4(master_seed=1, replicates=1, alphas=(0.2, 0.4), n_days=120,
                           models=("tl-linear", "c-linear")),
            ("model", "alpha", "rep", "icp", "mil"),
@@ -117,8 +121,9 @@ TABLE_PINS = {
 @pytest.mark.parametrize("table", sorted(TABLE_PINS))
 def test_table_outputs_pinned(table):
     """SHA-256 of the verdicts and of every raw row's pinned columns, recorded
-    before ground truth and the consecutive split each got one code path: a
-    change anywhere in generation, splitting, fitting or scoring fails here.
+    before ground truth and the consecutive split each got one code path (t3's
+    before the harnesses' scores came from their raw rows): a change anywhere
+    in generation, splitting, fitting or scoring fails here.
     The digests hold for one numpy and BLAS build; record them again if it
     changes."""
     run_table, columns, want = TABLE_PINS[table]
