@@ -10,7 +10,6 @@ evaluation protocols wired into a reproducible experiment CLI.
 from .datagen import (
     NOISES,
     CensoredDataset,
-    CensoredSeries,
     SyntheticSpec,
     bundled_daily_series,
     build_lagged_dataset,

@@ -314,10 +314,9 @@ def cmd_replicate(args, parser):
     run_table = TABLES[args.table]
     given = {k: getattr(args, k) for k in _TABLE_FLAGS if getattr(args, k) is not None}
     params = inspect.signature(run_table).parameters
-    if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        refused = ["--" + k.replace("_", "-") for k in given if k not in params]
-        if refused:
-            parser.error(f"replicate {args.table} does not take {', '.join(refused)}")
+    refused = ["--" + k.replace("_", "-") for k in given if k not in params]
+    if refused:
+        parser.error(f"replicate {args.table} does not take {', '.join(refused)}")
     os.makedirs(args.out_dir, exist_ok=True)
     run = run_table(master_seed=args.seed, **given)
 

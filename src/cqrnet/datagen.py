@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "SyntheticSpec",
     "CensoredDataset",
     "mirror_covariates",
-    "CensoredSeries",
     "gen_synthetic",
     "latent_quantile",
     "censor_partial",
@@ -141,21 +140,6 @@ def mirror_covariates(X):
     return Xm
 
 
-@dataclass
-class CensoredSeries:
-    """A univariate series with per-point censoring state (pre lagging)."""
-
-    y: np.ndarray
-    tau: np.ndarray
-    censored: np.ndarray
-    y_star: np.ndarray
-    side: str = "right"
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-
 def gen_synthetic(spec: SyntheticSpec, zero_noise: bool = False) -> CensoredDataset:
     """Draw the left-censored-at-zero benchmark dataset.
 
@@ -202,12 +186,13 @@ def latent_quantile(noise, theta, X, mixture_compat=False):
     return m + mixture_quantile(theta)
 
 
-def censor_partial(series, gamma, c1, c2, seed) -> CensoredSeries:
+def censor_partial(series, gamma, c1, c2, seed) -> CensoredDataset:
     """Right-censor a random gamma-portion of the series.
 
     Each selected point becomes y = (1 - delta) y* with delta ~ U[c1, c2]
     and threshold tau = y; unselected points keep y = y* with tau left
-    NaN for downstream imputation.
+    NaN for downstream imputation. The result is the series as a dataset
+    whose X is the intercept column alone, one row per point.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -225,12 +210,13 @@ def censor_partial(series, gamma, c1, c2, seed) -> CensoredSeries:
     tau[chosen] = y[chosen]
     censored = np.zeros(n, dtype=bool)
     censored[chosen] = True
-    return CensoredSeries(y=y, tau=tau, censored=censored, y_star=y_star, side="right")
+    return CensoredDataset(X=np.ones((n, 1)), y=y, tau=tau, censored=censored, side="right", y_star=y_star)
 
 
-def censor_fleet(trips, alpha, seed) -> CensoredSeries:
+def censor_fleet(trips, alpha, seed) -> CensoredDataset:
     """Remove a random alpha-portion of vehicles, the rows of `trips`; every
-    daily count is then right-censored at the observed value (complete censorship)."""
+    daily count is then right-censored at the observed value (complete
+    censorship). The result is the daily series as an intercept-only dataset."""
     n_vehicles = trips.shape[0]
     if n_vehicles < 1:
         raise ValueError("trip table has no vehicles")
@@ -243,13 +229,9 @@ def censor_fleet(trips, alpha, seed) -> CensoredSeries:
     keep[removed] = False
     y_star = trips.sum(axis=0).astype(float)
     y = trips[keep].sum(axis=0).astype(float)
-    return CensoredSeries(
-        y=y,
-        tau=y.copy(),
-        censored=np.ones(y.shape[0], dtype=bool),
-        y_star=y_star,
-        side="right",
-    )
+    n = y.shape[0]
+    return CensoredDataset(X=np.ones((n, 1)), y=y, tau=y.copy(), censored=np.ones(n, dtype=bool),
+                           side="right", y_star=y_star)
 
 
 def gen_trip_table(n_days, n_vehicles, per_vehicle_rate, weekly_amplitude, seed) -> np.ndarray:
@@ -332,18 +314,10 @@ def lag_features(series, lags=7):
     return X, s[lags:]
 
 
-def build_lagged_dataset(cs: CensoredSeries, lags=7) -> CensoredDataset:
-    """Lag-matrix dataset over a censored series (covariates = observed lags)."""
-    X, _ = lag_features(cs.y, lags)
-    sl = slice(lags, None)
-    return CensoredDataset(
-        X=X,
-        y=cs.y[sl].copy(),
-        tau=cs.tau[sl].copy(),
-        censored=cs.censored[sl].copy(),
-        side=cs.side,
-        y_star=cs.y_star[sl].copy(),
-    )
+def build_lagged_dataset(series: CensoredDataset, lags=7) -> CensoredDataset:
+    """The points of an intercept-only series dataset from `lags` on, each
+    with the observed lags of `lag_features` as its covariates."""
+    return replace(series.subset(np.arange(lags, series.n)), X=lag_features(series.y, lags)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ replication checks they are responsible for.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -173,15 +174,26 @@ def _verdict(check, passed, detail):
     return {"check": check, "passed": bool(passed), "detail": detail}
 
 
-def _aggregate(scores, stats):
-    """Per key of the (key, values) `scores`, in first-seen order: for each
-    (column, reduce) of `stats`, reduce (np.mean, say) over the key's values
-    in that column, as a Python number."""
-    by_key = {}
-    for key, values in scores:
-        by_key.setdefault(key, []).append(values)
-    return {key: tuple(reduce([v[i] for v in rows]).item() for i, reduce in stats)
-            for key, rows in by_key.items()}
+def _aggregate(columns, raw, key, stats):
+    """The raw rows grouped by the values of their `key` columns, in
+    first-seen order: per group, for each (column, reduce) of `stats`, reduce
+    (np.mean, say) over the column's entries parsed with float, as a Python
+    number. A score's raw entry is its repr, which float reads back exactly."""
+    at = [columns.index(c) for c in key]
+    groups = {}
+    for row in raw:
+        groups.setdefault(tuple(row[i] for i in at), []).append(row)
+    return {k: tuple(reduce([float(row[columns.index(c)]) for row in rows]).item() for c, reduce in stats)
+            for k, rows in groups.items()}
+
+
+def _table(header, cells, row_keys, col_keys, cell, label=list):
+    """A harness's `TableRun.cells`: the header, then per row key its
+    label, then cell(*values) for each column key, where values are the
+    aggregate at row key + column key."""
+    col_keys = list(col_keys)
+    rows = [[*label(rk), *(text for ck in col_keys for text in cell(*cells[rk + ck]))] for rk in row_keys]
+    return {"header": header, "rows": rows, "values": cells}
 
 
 def run_t1(master_seed=0, replicates=20, n=1000) -> TableRun:
@@ -191,20 +203,18 @@ def run_t1(master_seed=0, replicates=20, n=1000) -> TableRun:
     column uses the single-Gaussian compatibility quantile, matching the
     published targets.
     """
+    columns = ["noise", "theta", "seed", "zero_fraction"]
     raw = []
-    cells = {}
     for noise in datagen.NOISES:
         for theta in THETA_GRID:
-            vals = []
             for s in range(replicates):
                 seed = child_seed(master_seed, "t1", noise, "data", s)
                 ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed))
                 frac = float(np.mean(datagen.latent_quantile(noise, theta, ds.X, mixture_compat=True) <= 0.0))
-                vals.append(frac)
                 raw.append([noise, theta, s, repr(frac)])
-            cells[(noise, theta)] = float(np.mean(vals))
+    cells = _aggregate(columns, raw, ("noise", "theta"), (("zero_fraction", np.mean),))
     verdicts = []
-    for (noise, theta), got in cells.items():
+    for (noise, theta), (got,) in cells.items():
         target = PUBLISHED_T1[(noise, theta)]
         verdicts.append(
             _verdict(
@@ -213,22 +223,17 @@ def run_t1(master_seed=0, replicates=20, n=1000) -> TableRun:
                 f"zero-quantile fraction {got:.3f} vs published {target:.3f} (tol 0.05)",
             )
         )
-    rows = [
-        [noise] + [_fmt(cells[(noise, t)] * 100, 1) + "%" for t in THETA_GRID]
-        for noise in datagen.NOISES
-    ]
-    table = {"header": ["dataset"] + [f"theta={t}" for t in THETA_GRID], "rows": rows}
     return TableRun(
         name="Table 1: percent of zero conditional quantiles",
-        columns=["noise", "theta", "seed", "zero_fraction"],
+        columns=columns,
         raw_rows=raw,
-        cells=dict(table, values=cells),
+        cells=_table(["dataset"] + [f"theta={t}" for t in THETA_GRID], cells,
+                     product(datagen.NOISES), product(THETA_GRID), lambda frac: [_fmt(frac * 100, 1) + "%"]),
         verdicts=verdicts,
     )
 
 
-def _t2_models():
-    return ("tl-linear", "c-linear", "c-elu")
+T2_MODELS = ("tl-linear", "c-linear", "c-elu")
 
 
 def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
@@ -241,7 +246,8 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
     compatibility quantile) on the test set and its non-censored subset.
     """
     cfg = TrainConfig(learning_rate=0.01)
-    raw, scores = [], []
+    columns = ["noise", "theta", "model", "subset", "rep", "r2", "mae", "rmse"]
+    raw = []
     for noise in datagen.NOISES:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t2", noise, "data", rep)
@@ -253,17 +259,14 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
                 # with degenerate noise every latent quantile is the mean itself
                 truth = (test.X.sum(axis=1) if zero_noise
                          else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True))
-                for model in _t2_models():
+                for model in T2_MODELS:
                     result = fit_model(model, train, val, cfg, theta)
                     preds = result.predict(test.X)
                     for subset in metrics.SUBSETS:
-                        rep_report = metrics.subset_report(
-                            test, subset, preds=preds, true_quantiles=truth
-                        )
-                        values = (rep_report.r2, rep_report.mae, rep_report.rmse)
-                        scores.append(((noise, theta, model, subset), values))
-                        raw.append([noise, theta, model, subset, rep, *map(repr, values)])
-    cells = _aggregate(scores, ((0, np.mean), (1, np.mean), (2, np.mean)))
+                        rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truth)
+                        raw.append([noise, theta, model, subset, rep, repr(rp.r2), repr(rp.mae), repr(rp.rmse)])
+    cells = _aggregate(columns, raw, ("theta", "model", "subset", "noise"),
+                       (("r2", np.mean), ("mae", np.mean), ("rmse", np.mean)))
 
     verdicts = []
     if zero_noise:
@@ -271,7 +274,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
         # are revealed (the ELU net cannot represent deep-negative latents).
         ok = True
         worst = 1.0
-        for (noise, theta, model, subset), (r2, _, _) in cells.items():
+        for (theta, model, subset, noise), (r2, _, _) in cells.items():
             if model in ("c-linear", "c-elu") and subset == "non_censored_test":
                 worst = min(worst, r2)
                 ok = ok and r2 >= 1.0 - 1e-6
@@ -279,7 +282,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
     else:
         # Median row: censorship-aware linear nails it, unaware lands mid-0.9s.
         for noise in datagen.NOISES:
-            r2, mae, _ = cells[(noise, 0.5, "c-linear", "all_test")]
+            r2, mae, _ = cells[(0.5, "c-linear", "all_test", noise)]
             verdicts.append(
                 _verdict(
                     f"t2 median c-linear {noise}",
@@ -287,7 +290,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
                     f"R^2 {r2:.3f} (>=0.99), MAE {mae:.3f} (<=0.05)",
                 )
             )
-            tl_r2 = cells[(noise, 0.5, "tl-linear", "all_test")][0]
+            tl_r2 = cells[(0.5, "tl-linear", "all_test", noise)][0]
             verdicts.append(
                 _verdict(
                     f"t2 median tl-linear {noise}",
@@ -301,10 +304,10 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
             for theta in THETA_GRID:
                 for subset in metrics.SUBSETS:
                     aware = max(
-                        cells[(noise, theta, "c-linear", subset)][0],
-                        cells[(noise, theta, "c-elu", subset)][0],
+                        cells[(theta, "c-linear", subset, noise)][0],
+                        cells[(theta, "c-elu", subset, noise)][0],
                     )
-                    unaware = cells[(noise, theta, "tl-linear", subset)][0]
+                    unaware = cells[(theta, "tl-linear", subset, noise)][0]
                     if aware < unaware:
                         bad.append(f"{noise}/theta={theta}/{subset}")
         verdicts.append(
@@ -315,9 +318,9 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
             )
         )
         # Hard quantile: ELU > linear > TL at theta=0.05 on standard Gaussian.
-        got = {m: cells[("standard_gaussian", 0.05, m, "all_test")][0] for m in _t2_models()}
+        got = {m: cells[(0.05, m, "all_test", "standard_gaussian")][0] for m in T2_MODELS}
         order_ok = got["c-elu"] > got["c-linear"] > got["tl-linear"]
-        bands_ok = all(abs(got[m] - PUBLISHED_T2_SG_005[m]) <= 0.15 for m in _t2_models())
+        bands_ok = all(abs(got[m] - PUBLISHED_T2_SG_005[m]) <= 0.15 for m in T2_MODELS)
         verdicts.append(
             _verdict(
                 "t2 hard-quantile ordering (sg, theta=0.05)",
@@ -330,20 +333,12 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
     header = ["theta", "model", "subset"] + [
         f"{noise[:12]} {m}" for noise in datagen.NOISES for m in ("R2", "MAE", "RMSE")
     ]
-    rows = []
-    for theta in THETA_GRID:
-        for model in _t2_models():
-            for subset in metrics.SUBSETS:
-                row = [theta, model, subset]
-                for noise in datagen.NOISES:
-                    r2, mae, rmse = cells[(noise, theta, model, subset)]
-                    row += [_fmt(r2), _fmt(mae), _fmt(rmse)]
-                rows.append(row)
     return TableRun(
         name="Table 2: predictive quality for conditional quantiles",
-        columns=["noise", "theta", "model", "subset", "rep", "r2", "mae", "rmse"],
+        columns=columns,
         raw_rows=raw,
-        cells={"header": header, "rows": rows, "values": cells},
+        cells=_table(header, cells, product(THETA_GRID, T2_MODELS, metrics.SUBSETS), product(datagen.NOISES),
+                     lambda r2, mae, rmse: [_fmt(r2), _fmt(mae), _fmt(rmse)]),
         verdicts=verdicts,
     )
 
@@ -351,7 +346,8 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
 def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
     """Parametric Tobit vs censored quantile pair, ICP / MIL."""
     cfg = TrainConfig(learning_rate=0.01)
-    raw, scores = [], []
+    columns = ["noise", "model", "subset", "rep", "icp", "mil", "n_crossed"]
+    raw = []
     for noise in datagen.NOISES:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t3", noise, "data", rep)
@@ -366,9 +362,9 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             for model, (lo, hi) in (("tobit", (tob_lo, tob_hi)), ("c-linear", (cqr_lo, cqr_hi))):
                 for subset in metrics.SUBSETS:
                     rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
-                    scores.append(((noise, model, subset), (rp.icp, rp.mil, rp.n_crossed)))
                     raw.append([noise, model, subset, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed])
-    cells = _aggregate(scores, ((0, np.mean), (1, np.mean), (2, np.sum)))
+    cells = _aggregate(columns, raw, ("noise", "model", "subset"),
+                       (("icp", np.mean), ("mil", np.mean), ("n_crossed", np.sum)))
 
     verdicts = []
     for noise in datagen.NOISES:
@@ -401,19 +397,12 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
         )
 
     header = ["dataset", "model"] + [f"{s} {m}" for s in ("all", "non-censored") for m in ("ICP", "MIL")]
-    rows = []
-    for noise in datagen.NOISES:
-        for model in ("tobit", "c-linear"):
-            row = [noise, model]
-            for subset in metrics.SUBSETS:
-                icp, mil, _ = cells[(noise, model, subset)]
-                row += [_fmt(icp), _fmt(mil)]
-            rows.append(row)
     return TableRun(
         name="Table 3: non-parametric censored QR vs parametric Tobit",
-        columns=["noise", "model", "subset", "rep", "icp", "mil", "n_crossed"],
+        columns=columns,
         raw_rows=raw,
-        cells={"header": header, "rows": rows, "values": cells},
+        cells=_table(header, cells, product(datagen.NOISES, ("tobit", "c-linear")), product(metrics.SUBSETS),
+                     lambda icp, mil, _: [_fmt(icp), _fmt(mil)]),
         verdicts=verdicts,
     )
 
@@ -442,10 +431,7 @@ def _t4_cell(task):
     cfg = TrainConfig(max_epochs=1500)
     cs = datagen.censor_fleet(trips, alpha, seed=child_seed(master_seed, "t4", "censor", alpha, rep))
     ds = datagen.build_lagged_dataset(cs, lags)
-    ds = datagen.CensoredDataset(
-        X=ds.X, y=ds.y, tau=2.0 * ds.y / (1.0 - alpha), censored=ds.censored,
-        side="right", y_star=ds.y_star,
-    )
+    ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
     train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
     preds = {}
     for theta in INTERVAL_PAIR:
@@ -493,11 +479,11 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
         for rep in range(replicates)
         for model in models
     ]
-    raw, scores = [], []
-    for model, alpha, rep, icp, mil in _map_tasks(_t4_cell, tasks, jobs):
-        scores.append(((model, alpha), (icp, mil)))
-        raw.append([model, alpha, rep, repr(icp), repr(mil)])
-    cells = _aggregate(scores, ((0, np.mean), (0, np.std), (1, np.mean), (1, np.std)))
+    columns = ["model", "alpha", "rep", "icp", "mil"]
+    raw = [[model, alpha, rep, repr(icp), repr(mil)]
+           for model, alpha, rep, icp, mil in _map_tasks(_t4_cell, tasks, jobs)]
+    cells = _aggregate(columns, raw, ("model", "alpha"),
+                       (("icp", np.mean), ("icp", np.std), ("mil", np.mean), ("mil", np.std)))
 
     verdicts = []
     for model in models:
@@ -525,18 +511,12 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
         )
 
     header = ["model"] + [f"alpha={a} {m}" for a in alphas for m in ("ICP", "MIL")]
-    rows = []
-    for model in models:
-        row = [model]
-        for a in alphas:
-            icp, icp_sd, mil, mil_sd = cells[(model, a)]
-            row += [f"{icp:.3f}+/-{icp_sd:.2f}", f"{mil:.0f}+/-{mil_sd:.0f}"]
-        rows.append(row)
     return TableRun(
         name="Table 4 (synthetic stand-in, directional): complete fleet censorship",
-        columns=["model", "alpha", "rep", "icp", "mil"],
+        columns=columns,
         raw_rows=raw,
-        cells={"header": header, "rows": rows, "values": cells},
+        cells=_table(header, cells, product(models), product(alphas),
+                     lambda icp, icp_sd, mil, mil_sd: [f"{icp:.3f}+/-{icp_sd:.2f}", f"{mil:.0f}+/-{mil_sd:.0f}"]),
         verdicts=verdicts,
         notes=["synthetic trip-table stand-in; orderings directional, values not comparable to published numbers"],
     )
@@ -555,7 +535,8 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
     """
     cfg = TrainConfig()
     series = datagen.bundled_daily_series(n_days, seed=child_seed(master_seed, "bike", "series"))
-    raw, scores = [], []
+    columns = ["model", "gamma", "c1", "c2", "subset", "rep", "icp", "mil", "fallback"]
+    raw = []
     for gamma in gammas:
         for cr in c_ranges:
             for rep in range(replicates):
@@ -593,12 +574,12 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     hi = pair[INTERVAL_PAIR[1]].predict(test.X)
                     for subset in metrics.SUBSETS:
                         rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
-                        scores.append(((model, gamma, cr, subset), (rp.icp, rp.mil)))
                         raw.append(
                             [model, gamma, cr[0], cr[1], subset, rep,
                              repr(rp.icp), repr(rp.mil), int(fallback)]
                         )
-    cells = _aggregate(scores, ((0, np.mean), (1, np.mean)))
+    cells = _aggregate(columns, raw, ("model", "gamma", "c1", "c2", "subset"),
+                       (("icp", np.mean), ("mil", np.mean)))
 
     verdicts = []
     if "tl-linear" in models and "c-linear" in models:
@@ -607,8 +588,8 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
             ok_both = True
             detail = []
             for subset in metrics.SUBSETS:
-                aware = float(np.mean([abs(cells[("c-linear", g, cr, subset)][0] - 0.9) for g in gammas]))
-                unaware = float(np.mean([abs(cells[("tl-linear", g, cr, subset)][0] - 0.9) for g in gammas]))
+                aware = float(np.mean([abs(cells[("c-linear", g, *cr, subset)][0] - 0.9) for g in gammas]))
+                unaware = float(np.mean([abs(cells[("tl-linear", g, *cr, subset)][0] - 0.9) for g in gammas]))
                 ok_both = ok_both and aware <= unaware
                 detail.append(f"{subset}: {aware:.3f} vs {unaware:.3f}")
             passing.append(ok_both)
@@ -627,19 +608,15 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
             )
         )
 
-    header = ["model", "gamma", "c-range", "subset", "ICP", "MIL"]
-    rows = []
-    for model in models:
-        for gamma in gammas:
-            for cr in c_ranges:
-                for subset in metrics.SUBSETS:
-                    icp, mil = cells[(model, gamma, cr, subset)]
-                    rows.append([model, gamma, f"{cr[0]}-{cr[1]}", subset, _fmt(icp), _fmt(mil, 1)])
     return TableRun(
         name="Bike-sharing protocol (synthetic stand-in, directional)",
-        columns=["model", "gamma", "c1", "c2", "subset", "rep", "icp", "mil", "fallback"],
+        columns=columns,
         raw_rows=raw,
-        cells={"header": header, "rows": rows, "values": cells},
+        cells=_table(["model", "gamma", "c-range", "subset", "ICP", "MIL"], cells,
+                     [(model, gamma, *cr, subset) for model, gamma, cr, subset
+                      in product(models, gammas, c_ranges, metrics.SUBSETS)], [()],
+                     lambda icp, mil: [_fmt(icp), _fmt(mil, 1)],
+                     label=lambda key: [*key[:2], f"{key[2]}-{key[3]}", key[4]]),
         verdicts=verdicts,
         notes=["bundled synthetic daily series; directional comparison of censorship-aware vs unaware"],
     )

@@ -91,15 +91,6 @@ def mixture_cdf(z):
     return MIXTURE_WEIGHT * narrow + (1.0 - MIXTURE_WEIGHT) * wide
 
 
-def mixture_pdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.asarray(
-        MIXTURE_WEIGHT * normal_pdf(z)
-        + (1.0 - MIXTURE_WEIGHT) / MIXTURE_WIDE_SD * normal_pdf(z / MIXTURE_WIDE_SD)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def mixture_quantile(p: float) -> float:
     """Exact quantile of the benchmark mixture, by bisection on its CDF."""
     p = float(p)

@@ -280,8 +280,8 @@ def train_mean_ratio(y_star_train, y_train) -> float:
 def impute_thresholds(ratio: float, data):
     """Fill thresholds of non-censored points as tau = y * ratio.
 
-    `data` is a CensoredSeries or a CensoredDataset; the result is the
-    same container with copied arrays (a dataset's X is shared). Censored
+    The result is a copy of the CensoredDataset `data` with copied arrays
+    (X is shared); a series is a dataset of one intercept column. Censored
     points keep tau = y from the censoring scheme. The ratio comes from
     training rows only and is reused for validation and test rows.
     """

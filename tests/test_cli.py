@@ -382,8 +382,8 @@ def test_replicate_bike_runs_the_registered_protocol(tmp_path, monkeypatch):
     assert experiments.TABLES["bike"] is experiments.run_bike_protocol
     calls = []
 
-    def protocol(**kwargs):
-        calls.append(kwargs)
+    def protocol(master_seed, replicates):
+        calls.append({"master_seed": master_seed, "replicates": replicates})
         return experiments.TableRun(name="bike", columns=["model", "icp"], raw_rows=[["c-linear", "0.9"]],
                                     cells={"header": ["model"], "rows": [["c-linear"]]},
                                     verdicts=[{"check": "stand-in", "passed": True, "detail": ""}])

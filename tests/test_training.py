@@ -254,30 +254,22 @@ def test_mirror_fit_matches_direct_fit_on_negated_benchmark():
 
 # -- threshold imputation ----------------------------------------------------
 
-def as_dataset(cs):
-    """The series as a one-column (intercept-only) dataset."""
-    return CensoredDataset(X=np.ones((cs.n, 1)), y=cs.y, tau=cs.tau, censored=cs.censored,
-                           side=cs.side, y_star=cs.y_star)
-
-
 def test_impute_ratio_examples():
     series = np.arange(1.0, 101.0)
     cs = censor_partial(series, 0.0, 0.3, 0.6, seed=18)
     ratio = train_mean_ratio(cs.y_star[:50], cs.y[:50])
     assert ratio == pytest.approx(1.0)
-    for data in (cs, as_dataset(cs)):
-        filled = impute_thresholds(ratio, data)
-        assert type(filled) is type(data)
-        assert np.allclose(filled.tau, filled.y)
+    filled = impute_thresholds(ratio, cs)
+    assert type(filled) is CensoredDataset and filled.X is cs.X
+    assert np.allclose(filled.tau, filled.y)
 
     cs = censor_partial(series, 1.0, 0.5, 0.5, seed=19)
     ratio = train_mean_ratio(cs.y_star[:50], cs.y[:50])
     assert ratio == pytest.approx(2.0)
     # everything censored: imputation leaves the scheme thresholds alone
-    for data in (cs, as_dataset(cs)):
-        filled = impute_thresholds(ratio, data)
-        assert np.allclose(filled.tau, cs.y)
-        assert filled.tau is not data.tau and filled.y is not data.y
+    filled = impute_thresholds(ratio, cs)
+    assert np.allclose(filled.tau, cs.y)
+    assert filled.tau is not cs.tau and filled.y is not cs.y
 
 
 @given(st.integers(0, 2**32 - 2), st.floats(1e-3, 1e3))
@@ -306,9 +298,8 @@ def test_impute_zero_mean_errors():
 def test_imputed_thresholds_respect_right_censoring():
     series = np.random.default_rng(22).uniform(5, 15, 300)
     cs = censor_partial(series, 0.5, 0.2, 0.8, seed=23)
-    for data in (cs, as_dataset(cs)):
-        filled = impute_thresholds(train_mean_ratio(cs.y_star, cs.y), data)
-        assert np.all(filled.y <= filled.tau + 1e-12)
+    filled = impute_thresholds(train_mean_ratio(cs.y_star, cs.y), cs)
+    assert np.all(filled.y <= filled.tau + 1e-12)
 
 
 # -- initialization selection -------------------------------------------------
