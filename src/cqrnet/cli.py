@@ -56,6 +56,19 @@ def _write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue())
 
 
+def _read_json_object(path, what) -> dict:
+    """The JSON object in `path`, which holds `what`; a file that is not
+    valid JSON, or holds another kind of value, is a ValueError naming it."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} is a JSON object, not a {type(doc).__name__}")
+    return doc
+
+
 def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -129,8 +142,9 @@ def _load_dataset_with_manifest(data_path):
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(data_path)), "generate-manifest.json")
     side, noise = "left", None
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            stats = json.load(fh).get("stats", {})
+        stats = _read_json_object(manifest_path, "a generate manifest").get("stats", {})
+        if not isinstance(stats, dict):
+            raise ValueError(f"{manifest_path}: a manifest's stats are a JSON object, not a {type(stats).__name__}")
         side = stats.get("side", "left")
         noise = stats.get("noise")
     return datagen.load_dataset_csv(data_path, side=side), noise
@@ -148,14 +162,6 @@ def _prepare_for_fit(ds, seed):
         ratio = train_mean_ratio(train.y_star, train.y)
         train, val, test = (impute_thresholds(ratio, part) for part in (train, val, test))
     return train, val, test
-
-
-def _read_fit(path) -> dict:
-    """A fit JSON document; one that is not an object is a ValueError naming the file."""
-    with open(path) as fh:
-        if isinstance(doc := json.load(fh), dict):
-            return doc
-    raise ValueError(f"{path}: a fit result is a JSON object, not a {type(doc).__name__}")
 
 
 def _split_digest(test) -> str:
@@ -187,13 +193,8 @@ def cmd_fit(args, parser):
     train, val, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
     split_keys = {"master_seed": args.seed, "test_split_sha256": _split_digest(test)}
 
-    cfg_kwargs = {}
-    if args.learning_rate is not None:
-        cfg_kwargs["learning_rate"] = args.learning_rate
-    if args.patience is not None:
-        cfg_kwargs["patience"] = args.patience
-    if args.max_epochs is not None:
-        cfg_kwargs["max_epochs"] = args.max_epochs
+    cfg_kwargs = {k: getattr(args, k) for k in ("learning_rate", "patience", "max_epochs")
+                  if getattr(args, k) is not None}
     use_grid = args.learning_rate is None
 
     tasks, skipped = [], 0
@@ -201,7 +202,7 @@ def cmd_fit(args, parser):
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
-                doc = _read_fit(cell_path)
+                doc = _read_json_object(cell_path, "a fit result")
                 if doc.get("test_split_sha256") != split_keys["test_split_sha256"]:
                     raise ValueError(
                         f"{cell_path} was fitted on another split (fit --seed {doc.get('master_seed', 'not recorded')}) "
@@ -247,7 +248,7 @@ def cmd_evaluate(args, parser):
     for name in sorted(os.listdir(args.fits)):
         if not (name.startswith("fit-") and "-theta" in name and name.endswith(".json")):
             continue
-        doc = _read_fit(os.path.join(args.fits, name))
+        doc = _read_json_object(os.path.join(args.fits, name), "a fit result")
         if doc.get("test_split_sha256") != digest:
             raise ValueError(
                 f"{name} was fitted on another split than the test rows that evaluate --seed {args.seed} "
@@ -417,8 +418,7 @@ def _config_tokens(path, parser, subparser):
     """The `--config` file's keys as `--flag=value` tokens of the subcommand.
     A key that is no optional flag of it (a positional, a required flag,
     `config`) is a usage error: the command line alone gives those."""
-    with open(path) as fh:
-        file_cfg = json.load(fh)
+    file_cfg = _read_json_object(path, "a config file")
     flags = {a.dest: a for a in subparser._actions
              if a.option_strings and not a.required and a.dest not in ("help", "config")}
     unknown = sorted(set(file_cfg) - set(flags))

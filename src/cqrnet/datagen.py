@@ -9,7 +9,11 @@ For the mixture the exact law (bisection on its CDF) is primary, and the
 single-Gaussian stand-in with scale sqrt(0.75^2 + 0.25^2) is available as
 `mixture_compat` because published evaluations used that closed form.
 
-Covariate matrices always carry the intercept slot in column 0.
+A censored daily series is a right-censored dataset whose X is the
+intercept column alone; `build_lagged_dataset` gives it the lag matrix.
+Covariate matrices always carry the intercept slot in column 0. The CSV
+readers accept what the generators could have written, and name the file,
+and the line of a malformed row, in the ValueError for anything else.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -345,48 +350,72 @@ def dataset_csv_text(ds: CensoredDataset) -> str:
 def load_dataset_csv(path, side="left") -> CensoredDataset:
     """Read a dataset CSV, adding the intercept column back.
 
-    The result is validated (`CensoredDataset.validate`) for the given
-    side, so a hand-edited file fails here rather than in training.
+    Each row holds one number per header field, all finite but tau, which
+    is NaN where it awaits imputation. The result is validated
+    (`CensoredDataset.validate`) for the given side, so a hand-edited file
+    fails here rather than in training, with a ValueError naming the file
+    and the line of a malformed row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader if r]
-    has_star = header[-1] == "y_star"
-    fixed = 4 if has_star else 3
-    p = len(header) - fixed
-    expected = [f"x{i}" for i in range(1, p + 1)] + ["y", "tau", "censored"] + (["y_star"] if has_star else [])
-    if header != expected:
-        raise ValueError(f"unexpected dataset header {header}")
-    data = np.array([[float(v) for v in r] for r in rows], dtype=float)
+        header = next(reader, [])
+        has_star = header[-1:] == ["y_star"]
+        p = len(header) - (4 if has_star else 3)
+        expected = [f"x{i}" for i in range(1, p + 1)] + ["y", "tau", "censored"] + (["y_star"] if has_star else [])
+        if header != expected:
+            raise ValueError(f"{path}: unexpected dataset header {header}")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                rows.append([float(v) for v in row])
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                if not all(map(math.isfinite, rows[-1][:p + 1] + rows[-1][p + 2:])):
+                    raise ValueError("a field other than tau is not finite")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows, dtype=float)
     n = data.shape[0]
     X = np.column_stack([np.ones(n), data[:, :p]])
-    return CensoredDataset(
+    ds = CensoredDataset(
         X=X,
         y=data[:, p],
         tau=data[:, p + 1],
         censored=data[:, p + 2].astype(bool),
         side=side,
         y_star=data[:, p + 3] if has_star else None,
-    ).validate()
+    )
+    try:
+        return ds.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_daily_series_csv(path) -> np.ndarray:
-    """Read `date,count` with ISO dates; gaps in the day sequence are errors."""
+    """Read `date,count` with ISO dates, one row per day without gaps, and
+    each count finite and nonnegative, as a generated series is. A malformed
+    row is a ValueError naming the file and its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["date", "count"]:
-            raise ValueError(f"expected header date,count, got {header}")
+            raise ValueError(f"{path}: expected header date,count, got {header}")
         dates, counts = [], []
-        for row in reader:
-            if not row:
-                continue
-            dates.append(_dt.date.fromisoformat(row[0]))
-            counts.append(float(row[1]))
+        for row in filter(None, reader):
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected date,count, got {row}")
+                date, count = _dt.date.fromisoformat(row[0]), float(row[1])
+                if not (math.isfinite(count) and count >= 0.0):
+                    raise ValueError(f"a count is finite and nonnegative, got {row[1]}")
+                if dates and (date - dates[-1]).days != 1:
+                    raise ValueError(f"gap in daily series between {dates[-1]} and {date}")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            dates.append(date)
+            counts.append(count)
     if not counts:
-        raise ValueError("empty series")
-    for prev, cur in zip(dates, dates[1:]):
-        if (cur - prev).days != 1:
-            raise ValueError(f"gap in daily series between {prev} and {cur}")
+        raise ValueError(f"{path}: empty series")
     return np.asarray(counts, dtype=float)

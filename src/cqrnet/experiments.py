@@ -142,13 +142,8 @@ class TableRun:
     def render(self) -> str:
         lines = [f"== {self.name} =="]
         lines.extend(self.notes)
-        widths = None
-        table_rows = self._table_rows()
-        for row in table_rows:
-            if widths is None:
-                widths = [len(str(c)) for c in row]
-            else:
-                widths = [max(w, len(str(c))) for w, c in zip(widths, row)]
+        table_rows = [self.cells["header"], *self.cells["rows"]]
+        widths = [max(len(str(c)) for c in column) for column in zip(*table_rows)]
         for i, row in enumerate(table_rows):
             lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
             if i == 0:
@@ -158,10 +153,6 @@ class TableRun:
             mark = "PASS" if v["passed"] else "FAIL"
             lines.append(f"[{mark}] {v['check']}: {v['detail']}")
         return "\n".join(lines) + "\n"
-
-    def _table_rows(self):
-        header = list(self.cells["header"])
-        return [header] + [list(r) for r in self.cells["rows"]]
 
 
 def _fmt(x, nd=3):

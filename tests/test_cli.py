@@ -556,3 +556,53 @@ def test_readme_names_only_registered_flags():
     registered = {flag for p in (parser, *subparsers.values()) for a in p._actions for flag in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     assert named and named <= registered, sorted(named - registered)
+
+
+SERIES = "date,count\n" + "".join(f"2020-01-{d:02d},{10 + d}\n" for d in range(1, 13))
+DATA = "data/synthetic-standard_gaussian.csv"
+
+
+@pytest.mark.parametrize("path, text, command", [
+    ("data/generate-manifest.json", "[1]", "fit"),
+    ("data/generate-manifest.json", "[1]", "evaluate"),
+    ("data/generate-manifest.json", '{"stats": [1]}', "fit"),
+    ("data/generate-manifest.json", '{"stats": [1]}', "evaluate"),
+    ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "fit"),
+    ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "evaluate"),
+    ("cfg.json", "not json", "generate"),
+    ("cfg.json", "[1]", "generate"),
+    (DATA, "", "fit"),
+    (DATA, lambda text: text.splitlines(True)[0], "fit"),
+    (DATA, lambda text: text.replace(",0,", ",", 1), "fit"),
+    (DATA, lambda text: text.replace(",0,", ",zero,", 1), "fit"),
+    (DATA, lambda text: text.replace("\n", "\n1.0,nan,0.0,0.0,0,0.0\n", 1), "refit"),
+    ("series.csv", SERIES.replace(",13\n", "\n"), "series"),
+    ("series.csv", SERIES.replace(",13\n", ",nan\n"), "series"),
+    ("series.csv", SERIES.replace(",13\n", ",-4\n"), "series"),
+    ("series.csv", SERIES.replace(",13\n", ",inf\n"), "series"),
+], ids=["manifest-list-fit", "manifest-list-evaluate", "manifest-stats-list-fit", "manifest-stats-list-evaluate",
+        "fit-truncated-fit", "fit-truncated-evaluate", "config-not-json", "config-list", "dataset-empty",
+        "dataset-header-only", "dataset-short-row", "dataset-not-a-number", "dataset-nan-x", "series-one-field", "series-nan",
+        "series-negative", "series-inf"])
+def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, command):
+    """Every kind of file the CLI reads, made malformed in an otherwise valid
+    run directory: the command exits 2 without a traceback and names the file."""
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1,
+                "--out-dir", tmp_path / "data"]) == 0
+    fit = ["fit", "--data", tmp_path / DATA, "--models", "c-linear", "--thetas", "0.5", "--learning-rate", 0.01,
+           "--max-epochs", 20, "--seed", 1, "--out-dir", tmp_path / "fits"]
+    assert run(fit) == 0
+    target = tmp_path / path
+    target.write_text(text(target.read_text()) if callable(text) else text)
+    argv = {
+        "fit": fit,
+        "refit": fit + ["--force"],
+        "evaluate": ["evaluate", "--data", tmp_path / DATA, "--fits", tmp_path / "fits", "--seed", 1,
+                     "--out-dir", tmp_path / "eval"],
+        "generate": ["generate", "--config", target, "--synthetic", "standard_gaussian", "--out-dir", tmp_path / "g"],
+        "series": ["generate", "--censor", "partial", "--input", target, "--lags", 2, "--out-dir", tmp_path / "g"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "Traceback" not in err
