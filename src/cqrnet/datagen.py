@@ -350,11 +350,12 @@ def dataset_csv_text(ds: CensoredDataset) -> str:
 def load_dataset_csv(path, side="left") -> CensoredDataset:
     """Read a dataset CSV, adding the intercept column back.
 
-    Each row holds one number per header field, all finite but tau, which
-    is NaN where it awaits imputation. The result is validated
-    (`CensoredDataset.validate`) for the given side, so a hand-edited file
-    fails here rather than in training, with a ValueError naming the file
-    and the line of a malformed row.
+    Each row holds one number per header field: a censored flag of 0 or
+    1, and finite values but for tau, which is NaN where it awaits
+    imputation. The result is validated (`CensoredDataset.validate`) for
+    the given side, so a hand-edited file fails here rather than in
+    training, with a ValueError naming the file and the line of a
+    malformed row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -370,6 +371,8 @@ def load_dataset_csv(path, side="left") -> CensoredDataset:
                 rows.append([float(v) for v in row])
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                if row[p + 2] not in ("0", "1"):
+                    raise ValueError(f"the censored flag is 0 or 1, got {row[p + 2]!r}")
                 if not all(map(math.isfinite, rows[-1][:p + 1] + rows[-1][p + 2:])):
                     raise ValueError("a field other than tau is not finite")
             except ValueError as exc:

@@ -575,6 +575,7 @@ DATA = "data/synthetic-standard_gaussian.csv"
     (DATA, lambda text: text.splitlines(True)[0], "fit"),
     (DATA, lambda text: text.replace(",0,", ",", 1), "fit"),
     (DATA, lambda text: text.replace(",0,", ",zero,", 1), "fit"),
+    (DATA, lambda text: text.replace(",1,", ",7,", 1), "refit"),
     (DATA, lambda text: text.replace("\n", "\n1.0,nan,0.0,0.0,0,0.0\n", 1), "refit"),
     ("series.csv", SERIES.replace(",13\n", "\n"), "series"),
     ("series.csv", SERIES.replace(",13\n", ",nan\n"), "series"),
@@ -582,8 +583,8 @@ DATA = "data/synthetic-standard_gaussian.csv"
     ("series.csv", SERIES.replace(",13\n", ",inf\n"), "series"),
 ], ids=["manifest-list-fit", "manifest-list-evaluate", "manifest-stats-list-fit", "manifest-stats-list-evaluate",
         "fit-truncated-fit", "fit-truncated-evaluate", "config-not-json", "config-list", "dataset-empty",
-        "dataset-header-only", "dataset-short-row", "dataset-not-a-number", "dataset-nan-x", "series-one-field", "series-nan",
-        "series-negative", "series-inf"])
+        "dataset-header-only", "dataset-short-row", "dataset-not-a-number", "dataset-censored-7", "dataset-nan-x",
+        "series-one-field", "series-nan", "series-negative", "series-inf"])
 def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, command):
     """Every kind of file the CLI reads, made malformed in an otherwise valid
     run directory: the command exits 2 without a traceback and names the file."""
@@ -596,6 +597,8 @@ def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, comman
     target.write_text(text(target.read_text()) if callable(text) else text)
     argv = {
         "fit": fit,
+        # refit trains on the rows; without --force, fit would stop at the existing
+        # cell, whose split no longer matches, with a message naming the data file
         "refit": fit + ["--force"],
         "evaluate": ["evaluate", "--data", tmp_path / DATA, "--fits", tmp_path / "fits", "--seed", 1,
                      "--out-dir", tmp_path / "eval"],
