@@ -113,10 +113,7 @@ def cmd_generate(args, parser):
             cs = datagen.censor_partial(series, args.gamma, args.c1, args.c2,
                                         seed=child_seed(args.seed, "generate", "partial"))
         else:
-            trips = datagen.gen_trip_table(
-                args.n_days, datagen.BUNDLED_SERIES_VEHICLES, datagen.BUNDLED_SERIES_RATE,
-                datagen.BUNDLED_SERIES_AMPLITUDE, seed=child_seed(args.seed, "generate", "trips"),
-            )
+            trips = datagen.bundled_trip_table(args.n_days, seed=child_seed(args.seed, "generate", "trips"))
             cs = datagen.censor_fleet(trips, args.alpha, seed=child_seed(args.seed, "generate", "fleet"))
         ds = datagen.build_lagged_dataset(cs, args.lags)
         data_path = os.path.join(args.out_dir, f"censored-{args.censor}.csv")

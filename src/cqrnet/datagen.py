@@ -40,6 +40,7 @@ __all__ = [
     "censor_partial",
     "censor_fleet",
     "gen_trip_table",
+    "bundled_trip_table",
     "bundled_daily_series",
     "apportion",
     "split_indices",
@@ -259,12 +260,14 @@ BUNDLED_SERIES_RATE = 1.2
 BUNDLED_SERIES_AMPLITUDE = 0.35
 
 
+def bundled_trip_table(n_days, seed) -> np.ndarray:
+    """The stand-in fleet's (vehicles, days) trip table."""
+    return gen_trip_table(n_days, BUNDLED_SERIES_VEHICLES, BUNDLED_SERIES_RATE, BUNDLED_SERIES_AMPLITUDE, seed)
+
+
 def bundled_daily_series(n_days=730, seed=2024) -> np.ndarray:
     """Synthetic daily demand series (weekly-seasonal Poisson totals)."""
-    trips = gen_trip_table(
-        n_days, BUNDLED_SERIES_VEHICLES, BUNDLED_SERIES_RATE, BUNDLED_SERIES_AMPLITUDE, seed
-    )
-    return trips.sum(axis=0).astype(float)
+    return bundled_trip_table(n_days, seed).sum(axis=0).astype(float)
 
 
 def apportion(n, proportions):

@@ -30,7 +30,6 @@ from .models import (
     init_weights,
 )
 from .training import (
-    InitCandidate,
     TrainConfig,
     fit,
     fit_with_lr_grid,
@@ -54,6 +53,7 @@ __all__ = [
 
 THETA_GRID = (0.05, 0.5, 0.95)
 INTERVAL_PAIR = (0.05, 0.95)
+LAGS = 7  # lag covariates of the daily-series tables
 Z95_WIDTH = 2 * 1.6448536269514722  # analytic Tobit 5%-95% width at sigma=1
 
 # Published table cells used as replication targets.
@@ -123,6 +123,14 @@ def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, 
     return fit(factory(), spec.loss_kind, train, val, cfg, theta=theta)
 
 
+def _interval_fits(model, train, val, cfg, master_seed, *path):
+    """The fits of `model` at each level of INTERVAL_PAIR, over the lr grid,
+    each from N(0,1) weights seeded by the stage `path` and its theta."""
+    return [fit_model(model, train, val, cfg, theta, init_scheme="standard_normal",
+                      init_seed=child_seed(master_seed, *path, theta), use_lr_grid=True)
+            for theta in INTERVAL_PAIR]
+
+
 # ---------------------------------------------------------------------------
 # Table runs
 
@@ -156,8 +164,6 @@ class TableRun:
 
 
 def _fmt(x, nd=3):
-    if x is None:
-        return "-"
     return f"{x:.{nd}f}"
 
 
@@ -415,28 +421,19 @@ def _t4_cell(task):
     available against runaway predictions while letting the fits anchor
     stably to the observed data's quantiles.
     """
-    master_seed, alpha, rep, model, trips, lags = task
+    master_seed, alpha, rep, model, trips = task
     # Finite budget: the sub-0.1 grid rates crawl from the N(0,1) init and
     # would burn the full default cap without ever winning the validation
     # selection; 1500 epochs is past convergence for the rates that do win.
     cfg = TrainConfig(max_epochs=1500)
     cs = datagen.censor_fleet(trips, alpha, seed=child_seed(master_seed, "t4", "censor", alpha, rep))
-    ds = datagen.build_lagged_dataset(cs, lags)
+    ds = datagen.build_lagged_dataset(cs, LAGS)
     ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
     train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
-    preds = {}
-    for theta in INTERVAL_PAIR:
-        result = fit_model(
-            model, train, val, cfg, theta,
-            init_scheme="standard_normal",
-            init_seed=child_seed(master_seed, "t4", "init", alpha, rep, model, theta),
-            use_lr_grid=True,
-        )
-        preds[theta] = result.predict(test.X)
-    rp = metrics.subset_report(
-        test, "all_test", lower=preds[INTERVAL_PAIR[0]], upper=preds[INTERVAL_PAIR[1]]
-    )
-    return model, alpha, rep, rp.icp, rp.mil
+    lo, hi = (result.predict(test.X) for result in
+              _interval_fits(model, train, val, cfg, master_seed, "t4", "init", alpha, rep, model))
+    rp = metrics.subset_report(test, "all_test", lower=lo, upper=hi)
+    return [model, alpha, rep, repr(rp.icp), repr(rp.mil)]
 
 
 def _map_tasks(fn, tasks, jobs):
@@ -452,7 +449,7 @@ def _map_tasks(fn, tasks, jobs):
 
 
 def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
-           n_days=730, lags=7, models=T4_MODELS, jobs=1) -> TableRun:
+           n_days=730, models=T4_MODELS, jobs=1) -> TableRun:
     """Complete fleet censorship on the synthetic trip table (directional).
 
     The underlying data is a synthetic stand-in, so this reproduces the
@@ -460,19 +457,11 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
     beat the unaware one on ICP distance, and every model deteriorates
     as the removed fleet fraction grows.
     """
-    trips = datagen.gen_trip_table(
-        n_days, datagen.BUNDLED_SERIES_VEHICLES, datagen.BUNDLED_SERIES_RATE,
-        datagen.BUNDLED_SERIES_AMPLITUDE, seed=child_seed(master_seed, "t4", "trips"),
-    )
-    tasks = [
-        (master_seed, alpha, rep, model, trips, lags)
-        for alpha in alphas
-        for rep in range(replicates)
-        for model in models
-    ]
+    trips = datagen.bundled_trip_table(n_days, seed=child_seed(master_seed, "t4", "trips"))
+    tasks = [(master_seed, alpha, rep, model, trips)
+             for alpha in alphas for rep in range(replicates) for model in models]
     columns = ["model", "alpha", "rep", "icp", "mil"]
-    raw = [[model, alpha, rep, repr(icp), repr(mil)]
-           for model, alpha, rep, icp, mil in _map_tasks(_t4_cell, tasks, jobs)]
+    raw = list(_map_tasks(_t4_cell, tasks, jobs))
     cells = _aggregate(columns, raw, ("model", "alpha"),
                        (("icp", np.mean), ("icp", np.std), ("mil", np.mean), ("mil", np.std)))
 
@@ -516,7 +505,7 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
 def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                       c_ranges=((0.01, 0.33), (0.34, 0.66), (0.67, 0.99)),
                       replicates=3, n_inits=3, models=("tl-linear", "c-linear"),
-                      n_days=730, lags=7) -> TableRun:
+                      n_days=730) -> TableRun:
     """Partial censoring of the bundled daily series (§-style protocol).
 
     Per censored replicate: consecutive thirds, train-ratio threshold
@@ -535,34 +524,19 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     series, gamma, cr[0], cr[1],
                     seed=child_seed(master_seed, "bike", "censor", gamma, cr, rep),
                 )
-                # consecutive thirds of the series; lag row r targets point r + lags
+                # consecutive thirds of the series; lag row r targets point r + LAGS
                 thirds = datagen.split_indices(cs.n, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
                 ratio = train_mean_ratio(cs.y_star[thirds[0]], cs.y[thirds[0]])
-                ds = datagen.build_lagged_dataset(impute_thresholds(ratio, cs), lags)
-                train, val, test = (ds.subset(part[part >= lags] - lags) for part in thirds)
+                ds = datagen.build_lagged_dataset(impute_thresholds(ratio, cs), LAGS)
+                train, val, test = (ds.subset(part[part >= LAGS] - LAGS) for part in thirds)
                 train_mean = float(np.mean(train.y))
                 for model in models:
-                    candidates = []
-                    for i in range(n_inits):
-                        pair = {}
-                        for theta in INTERVAL_PAIR:
-                            result = fit_model(
-                                model, train, val, cfg, theta,
-                                init_scheme="standard_normal",
-                                init_seed=child_seed(master_seed, "bike", "init", gamma, cr, rep, model, i, theta),
-                                use_lr_grid=True,
-                            )
-                            pair[theta] = result
-                        val_icp, val_mil, _ = metrics.interval_metrics(
-                            pair[INTERVAL_PAIR[0]].predict(val.X),
-                            pair[INTERVAL_PAIR[1]].predict(val.X),
-                            val.y_star,
-                        )
-                        candidates.append(InitCandidate(seed=i, val_icp=val_icp, val_mil=val_mil, payload=pair))
-                    winner, fallback = select_initialization(candidates, train_mean)
-                    pair = winner.payload
-                    lo = pair[INTERVAL_PAIR[0]].predict(test.X)
-                    hi = pair[INTERVAL_PAIR[1]].predict(test.X)
+                    pairs = [_interval_fits(model, train, val, cfg, master_seed,
+                                            "bike", "init", gamma, cr, rep, model, i) for i in range(n_inits)]
+                    scores = [metrics.interval_metrics(lo.predict(val.X), hi.predict(val.X), val.y_star)[:2]
+                              for lo, hi in pairs]
+                    index, fallback = select_initialization(scores, train_mean)
+                    lo, hi = (result.predict(test.X) for result in pairs[index])
                     for subset in metrics.SUBSETS:
                         rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
                         raw.append(

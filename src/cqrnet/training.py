@@ -50,7 +50,6 @@ __all__ = [
     "fit_with_lr_grid",
     "train_mean_ratio",
     "impute_thresholds",
-    "InitCandidate",
     "select_initialization",
 ]
 
@@ -294,37 +293,30 @@ def impute_thresholds(ratio: float, data):
                    y_star=None if data.y_star is None else data.y_star.copy())
 
 
-@dataclass
-class InitCandidate:
-    """One random initialization of an interval pair, with its validation
-    interval scores and whatever payload the caller wants back."""
-
-    seed: int
-    val_icp: float
-    val_mil: float
-    payload: object = None
+# An initialization whose validation MIL exceeds this multiple of the train
+# observations' mean is filtered out before selection.
+MIL_CEILING = 2.0
 
 
-def select_initialization(candidates, train_observed_mean, mil_ceiling=2.0):
+def select_initialization(scores, train_observed_mean):
     """Pick the initialization whose validation ICP is closest to 0.9.
 
-    Candidates whose validation MIL exceeds `mil_ceiling` times the mean
-    of the train observations are filtered out first; if that removes
-    everyone, selection falls back to the unfiltered pool and flags it.
-    The mean must be positive and finite; any other value would divide by
-    zero or invert the filter, so it raises ValueError.
-    Returns (winner, fallback_used).
+    `scores` holds one (val_icp, val_mil) per initialization, in order;
+    ties go to the lower index. Initializations whose validation MIL
+    exceeds `MIL_CEILING` times the mean of the train observations are
+    filtered out first; if that removes every one, selection falls back to
+    the unfiltered pool and flags it. The mean must be positive and
+    finite; any other value would divide by zero or invert the filter, so
+    it raises ValueError. Returns (index, fallback_used).
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no initialization candidates")
+    scores = list(scores)
+    if not scores:
+        raise ValueError("no initializations to select from")
     if not (math.isfinite(train_observed_mean) and train_observed_mean > 0.0):
         raise ValueError(
             f"train observations must have a positive finite mean for the MIL filter, got {train_observed_mean}"
         )
-    survivors = [c for c in candidates if c.val_mil / train_observed_mean <= mil_ceiling]
+    survivors = [i for i, (_, mil) in enumerate(scores) if mil / train_observed_mean <= MIL_CEILING]
     fallback = not survivors
-    pool = candidates if fallback else survivors
-    winner = min(pool, key=lambda c: (abs(c.val_icp - 0.9), c.seed))
-    return winner, fallback
-
+    pool = range(len(scores)) if fallback else survivors
+    return min(pool, key=lambda i: abs(scores[i][0] - 0.9)), fallback

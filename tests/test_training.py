@@ -23,7 +23,6 @@ from cqrnet.models import (
 from cqrnet.tobit import TobitNet
 from cqrnet.training import (
     AllFitsDivergedError,
-    InitCandidate,
     NonFiniteLossError,
     TrainConfig,
     _adam_step,
@@ -304,28 +303,32 @@ def test_imputed_thresholds_respect_right_censoring():
 
 # -- initialization selection -------------------------------------------------
 
-def test_select_single_candidate():
-    cand = InitCandidate(seed=0, val_icp=0.7, val_mil=1.0)
-    winner, fallback = select_initialization([cand], train_observed_mean=1.0)
-    assert winner is cand and not fallback
+def test_select_single_initialization():
+    index, fallback = select_initialization([(0.7, 1.0)], train_observed_mean=1.0)
+    assert index == 0 and not fallback
 
 
 def test_select_closest_icp():
-    cands = [InitCandidate(0, 0.88, 1.0), InitCandidate(1, 0.97, 1.0)]
-    winner, _ = select_initialization(cands, train_observed_mean=1.0)
-    assert winner.seed == 0
+    index, _ = select_initialization([(0.88, 1.0), (0.97, 1.0)], train_observed_mean=1.0)
+    assert index == 0
+
+
+@pytest.mark.parametrize("icps", [(0.6, 0.8, 1.0), (0.6, 1.0, 0.8), (0.6, 0.8, 0.8)])
+def test_select_ties_go_to_the_lower_index(icps):
+    """0.8 and 1.0 are equally far from 0.9, in floats too."""
+    assert abs(0.8 - 0.9) == abs(1.0 - 0.9)
+    index, _ = select_initialization([(icp, 1.0) for icp in icps], train_observed_mean=1.0)
+    assert index == 1
 
 
 def test_select_filters_high_mil():
-    cands = [InitCandidate(0, 0.90, 3.0), InitCandidate(1, 0.80, 1.5)]
-    winner, fallback = select_initialization(cands, train_observed_mean=1.0)
-    assert winner.seed == 1 and not fallback
+    index, fallback = select_initialization([(0.90, 3.0), (0.80, 1.5)], train_observed_mean=1.0)
+    assert index == 1 and not fallback
 
 
 def test_select_fallback_when_all_filtered():
-    cands = [InitCandidate(0, 0.90, 5.0), InitCandidate(1, 0.85, 9.0)]
-    winner, fallback = select_initialization(cands, train_observed_mean=1.0)
-    assert winner.seed == 0 and fallback
+    index, fallback = select_initialization([(0.90, 5.0), (0.85, 9.0)], train_observed_mean=1.0)
+    assert index == 0 and fallback
 
 
 def test_select_empty_errors():
@@ -335,9 +338,8 @@ def test_select_empty_errors():
 
 @pytest.mark.parametrize("mean", [0.0, -2.0, float("nan"), float("inf")])
 def test_select_rejects_nonpositive_or_nonfinite_mean(mean):
-    cands = [InitCandidate(0, 0.90, 1.0), InitCandidate(1, 0.80, 3.0)]
     with pytest.raises(ValueError, match="positive finite mean"):
-        select_initialization(cands, train_observed_mean=mean)
+        select_initialization([(0.90, 1.0), (0.80, 3.0)], train_observed_mean=mean)
 
 
 def test_fit_result_serialization_round_trip():
