@@ -142,8 +142,11 @@ def _load_dataset_with_manifest(data_path):
         stats = _read_json_object(manifest_path, "a generate manifest").get("stats", {})
         if not isinstance(stats, dict):
             raise ValueError(f"{manifest_path}: a manifest's stats are a JSON object, not a {type(stats).__name__}")
-        side = stats.get("side", "left")
-        noise = stats.get("noise")
+        side, noise = stats.get("side", "left"), stats.get("noise")
+        if side not in ("left", "right"):
+            raise ValueError(f"{manifest_path}: stats.side is 'left' or 'right', got {side!r}")
+        if noise is not None and noise not in datagen.NOISES:
+            raise ValueError(f"{manifest_path}: stats.noise is one of {datagen.NOISES} or null, got {noise!r}")
     return datagen.load_dataset_csv(data_path, side=side), noise
 
 

@@ -245,6 +245,9 @@ class CensoredQrLoss(_QuantileLoss):
             raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
         if np.any(np.isnan(self.tau)):
             raise ValueError("dataset has unimputed thresholds (NaN tau)")
+        if np.all(self.y[:self.n] == self.tau[:self.n]):
+            raise ValueError("every training row has y == tau, where the censored NLL is flat: any prediction "
+                             "clamped at the thresholds scores zero loss, so the fit has nothing to learn")
 
     def __call__(self, preds):
         n = self.n

@@ -93,11 +93,11 @@ _ACTIVATIONS = {
 }
 
 
-def _matmul_rows(A, B, n, out=None):
+def _matmul_rows(A, B, n):
     """A @ B, rows [:n] and [n:] of A in separate calls when 0 < n < len(A):
     BLAS sums in an order set by the row count, so each block keeps the
     bits of its own call. (`np.dot` writes to `out` faster than matmul.)"""
-    out = np.empty(A.shape[:1] + B.shape[1:]) if out is None else out
+    out = np.empty(A.shape[:1] + B.shape[1:])
     if 0 < n < A.shape[0]:
         np.dot(A[:n], B, out=out[:n])
         np.dot(A[n:], B, out=out[n:])

@@ -346,7 +346,7 @@ def test_evaluate_skips_the_empty_subset_of_fleet_data(tmp_path, capsys):
                 "--out-dir", data_dir]) == 0
     data = data_dir / "censored-fleet.csv"
     fits = tmp_path / "fits"
-    assert run(["fit", "--data", data, "--models", "c-linear", "--thetas", "0.05,0.95", "--learning-rate", 0.1,
+    assert run(["fit", "--data", data, "--models", "tl-linear", "--thetas", "0.05,0.95", "--learning-rate", 0.1,
                 "--max-epochs", 200, "--seed", 1, "--out-dir", fits]) == 0
     out = tmp_path / "eval"
     assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--out-dir", out]) == 0
@@ -357,6 +357,19 @@ def test_evaluate_skips_the_empty_subset_of_fleet_data(tmp_path, capsys):
     assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 1, "--subset", "non_censored_test",
                 "--out-dir", tmp_path / "e2"]) == 2
     assert "non-censored subset is empty" in capsys.readouterr().err
+
+
+def test_fit_refuses_the_censored_nll_on_fleet_data(tmp_path, capsys):
+    """Fleet censorship puts every row at its threshold (y == tau), where the
+    censored NLL is flat: fit exits 2 saying so rather than train on it."""
+    data_dir = tmp_path / "fleet"
+    assert run(["generate", "--censor", "fleet", "--alpha", 0.4, "--n-days", 150, "--seed", 1,
+                "--out-dir", data_dir]) == 0
+    for model in ("c-linear", "c-elu"):
+        capsys.readouterr()
+        assert run(["fit", "--data", data_dir / "censored-fleet.csv", "--models", model, "--thetas", "0.05,0.95",
+                    "--learning-rate", 0.1, "--max-epochs", 50, "--seed", 1, "--out-dir", tmp_path / "fits"]) == 2
+        assert "every training row has y == tau" in capsys.readouterr().err
 
 
 def test_jobs_and_force_only_on_the_subcommands_that_act_on_them(tmp_path):
@@ -567,6 +580,9 @@ DATA = "data/synthetic-standard_gaussian.csv"
     ("data/generate-manifest.json", "[1]", "evaluate"),
     ("data/generate-manifest.json", '{"stats": [1]}', "fit"),
     ("data/generate-manifest.json", '{"stats": [1]}', "evaluate"),
+    ("data/generate-manifest.json", lambda text: text.replace('"side": "left"', '"side": "up"'), "fit"),
+    ("data/generate-manifest.json", lambda text: text.replace('"noise": "standard_gaussian"', '"noise": "cauchy"'),
+     "evaluate"),
     ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "fit"),
     ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "evaluate"),
     ("cfg.json", "not json", "generate"),
@@ -582,6 +598,7 @@ DATA = "data/synthetic-standard_gaussian.csv"
     ("series.csv", SERIES.replace(",13\n", ",-4\n"), "series"),
     ("series.csv", SERIES.replace(",13\n", ",inf\n"), "series"),
 ], ids=["manifest-list-fit", "manifest-list-evaluate", "manifest-stats-list-fit", "manifest-stats-list-evaluate",
+        "manifest-side-up", "manifest-noise-cauchy",
         "fit-truncated-fit", "fit-truncated-evaluate", "config-not-json", "config-list", "dataset-empty",
         "dataset-header-only", "dataset-short-row", "dataset-not-a-number", "dataset-censored-7", "dataset-nan-x",
         "series-one-field", "series-nan", "series-negative", "series-inf"])

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from cqrnet.datagen import CensoredDataset
 from cqrnet.losses import (
+    CensoredQrLoss,
     TobitLoss,
     censored_qr_nll,
     censored_qr_nll_grad,
@@ -139,6 +140,18 @@ def test_censored_nll_tie_passes_gradient_through_prediction():
     # q == tau: gradient flows as if the prediction branch were active
     g = censored_qr_nll_grad(np.array([1.0]), np.array([0.5]), np.array([0.5]), 0.4)
     assert g[0] == pytest.approx(-0.4)
+
+
+def test_censored_nll_refuses_training_rows_all_at_their_thresholds():
+    """With y == tau on every training row the objective is flat (zero for
+    any prediction on the clamped side), so the loss object refuses it;
+    one row off its threshold, or validation rows at theirs, are fine."""
+    y = np.array([3.0, 1.0, 2.0])
+    at_tau = CensoredDataset(X=np.ones((3, 1)), y=y, tau=y.copy(), censored=np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="every training row has y == tau"):
+        CensoredQrLoss(at_tau, at_tau, 0.5, None)
+    one_off = CensoredDataset(X=np.ones((3, 1)), y=y, tau=y - [0.0, 0.0, 1.0], censored=np.array([1, 1, 0], bool))
+    CensoredQrLoss(one_off, at_tau, 0.5, None)
 
 
 # -- Tobit NLL ---------------------------------------------------------------
