@@ -303,7 +303,7 @@ def test_imputed_thresholds_respect_right_censoring():
 
 # -- initialization selection -------------------------------------------------
 
-def test_select_single_initialization():
+def test_select_single_candidate():
     index, fallback = select_initialization([(0.7, 1.0)], train_observed_mean=1.0)
     assert index == 0 and not fallback
 
