@@ -408,7 +408,7 @@ T4_MODELS = ("tl-linear", "c-linear", "c-reg-linear", "c-lstm")
 
 
 def _t4_cell(task):
-    """One (alpha, replicate, model) fleet cell; module-level for pools.
+    """The raw row of one (alpha, replicate, model) fleet cell; module-level for pools.
 
     Training thresholds are a loose multiple (2x) of the latent scale
     y / (1 - alpha) implied by the scheme's own approximation. With
