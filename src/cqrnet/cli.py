@@ -22,7 +22,8 @@ import tempfile
 import numpy as np
 
 from . import __version__, datagen, metrics
-from .experiments import INTERVAL_PAIR, MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name
+from .experiments import (INTERVAL_PAIR, MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name,
+                          reuse_fit, training_problem)
 from .models import net_from_dict
 from .training import TrainConfig, impute_thresholds, train_mean_ratio
 
@@ -170,11 +171,11 @@ def _split_digest(test) -> str:
 
 
 def _fit_cell(task):
-    """One (model, theta) cell; module-level so worker processes can run it."""
+    """One (model, theta) cell's fit; module-level so worker processes can run it."""
     (model, theta, train, val, fit_seed, cfg_kwargs, use_grid, init_scheme, init_seed) = task
     cfg = TrainConfig(seed=fit_seed, **cfg_kwargs)
-    return model, theta, fit_model(model, train, val, cfg, theta,
-                                   init_scheme=init_scheme, init_seed=init_seed, use_lr_grid=use_grid)
+    return fit_model(model, train, val, cfg, theta, init_scheme=init_scheme, init_seed=init_seed,
+                     use_lr_grid=use_grid)
 
 
 def cmd_fit(args, parser):
@@ -197,7 +198,8 @@ def cmd_fit(args, parser):
                   if getattr(args, k) is not None}
     use_grid = args.learning_rate is None
 
-    tasks, skipped = [], 0
+    # every cell is checked before any is fitted, and each training problem is fitted once
+    cells, tasks, skipped = [], {}, 0
     for model in models:
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
@@ -209,29 +211,44 @@ def cmd_fit(args, parser):
                         f"than fit --seed {args.seed} holds out of {args.data}; refit it with --force")
                 skipped += 1
                 continue
+            fit_seed = child_seed(args.seed, "fit", model, theta)
+            init_seed = child_seed(args.seed, "fit", "init", model, theta)
+            try:
+                problem = training_problem(model, theta, train, val, args.init, init_seed)
+            except ValueError as exc:
+                raise ValueError(f"fit-{model}-theta{theta:g}: {exc}") from None
             # Tobit cells keep the fixed rate: the grid would fit each of them four times
-            tasks.append((model, theta, train, val,
-                          child_seed(args.seed, "fit", model, theta),
-                          cfg_kwargs, use_grid and model != "tobit", args.init,
-                          child_seed(args.seed, "fit", "init", model, theta)))
+            tasks.setdefault(problem, (model, theta, train, val, fit_seed, cfg_kwargs,
+                                       use_grid and model != "tobit", args.init, init_seed))
+            cells.append((model, theta, fit_seed, problem))
 
-    outputs = []
-    for model, theta, result in _map_tasks(_fit_cell, tasks, args.jobs):
+    outputs, fits = [], {}
+    results = _map_tasks(_fit_cell, list(tasks.values()), args.jobs)
+    for model, theta, fit_seed, problem in cells:
+        if problem in fits:
+            result = reuse_fit(fits[problem], model, theta, fit_seed)
+        else:  # a problem's first cell: its fit is the next one out
+            result = fits[problem] = next(results)
         cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
         _write_json(cell_path, {**result.to_json_dict(), **split_keys})
         outputs.append(cell_path)
+        if result.diagnostics.get("clamp_share") == 1.0:
+            print(f"warning: fit-{model}-theta{theta:g}: every training row is clamped at its threshold at the fitted "
+                  "weights, where the censored NLL has no gradient (clamp_share 1.0); try --init standard_normal",
+                  file=sys.stderr)
         if args.dump_traces:
             trace_path = os.path.join(args.out_dir, f"trace-{model}-theta{theta:g}.csv")
             rows = [[e, repr(tr), repr(va)] for e, (tr, va) in enumerate(zip(result.train_trace, result.val_trace))]
             _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
             outputs.append(trace_path)
+    results.close()  # the worker pool, if any, shuts down here
 
     config = {"data": args.data, "models": models, "thetas": thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
               "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
-              {"skipped_existing": skipped, "fitted": len(tasks)})
-    print(f"fitted {len(tasks)} cells, skipped {skipped} existing; results in {args.out_dir}")
+              {"skipped_existing": skipped, "fitted": len(cells), "trained": len(tasks)})
+    print(f"fitted {len(cells)} cells ({len(tasks)} trained), skipped {skipped} existing; results in {args.out_dir}")
     return 0
 
 

@@ -24,6 +24,7 @@ from . import datagen, metrics
 from .models import (
     LinearQuantileNet,
     LstmQuantileNet,
+    MirrorWrapper,
     RegularizedLinearNet,
     StackedUnitNet,
     TobitNet,
@@ -36,12 +37,15 @@ from .training import (
     impute_thresholds,
     select_initialization,
     train_mean_ratio,
+    training_loss,
 )
 
 __all__ = [
     "child_seed",
     "MODEL_NAMES",
     "fit_model",
+    "training_problem",
+    "reuse_fit",
     "TableRun",
     "run_t1",
     "run_t2",
@@ -111,16 +115,51 @@ def parse_model_name(name) -> _ModelSpec:
     raise ValueError(f"unknown model {name!r}")
 
 
+def _initial_net(spec, dim, init_scheme, init_seed):
+    return init_weights(spec.build(dim), init_scheme, seed=init_seed)
+
+
 def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
     """Fit model `name` at level theta, over the lr grid when `use_lr_grid`."""
     spec = parse_model_name(name)
-
-    def factory():
-        return init_weights(spec.build(train.X.shape[1]), init_scheme, seed=init_seed)
-
+    factory = partial(_initial_net, spec, train.X.shape[1], init_scheme, init_seed)
     if use_lr_grid:
         return fit_with_lr_grid(factory, spec.loss_kind, train, val, cfg, theta=theta)
     return fit(factory(), spec.loss_kind, train, val, cfg, theta=theta)
+
+
+def training_problem(model, theta, train, val, init_scheme="ones", init_seed=None):
+    """The training problem that the cell (model, theta) poses on the split
+    (train, val), as a hashable key: the net as it trains, the loss, the
+    level where the loss reads one, and the initial weights. Two cells of one
+    command with equal keys have bit-equal fits (see `reuse_fit`); the fit's
+    seed is left out, as only the dropout net draws from it and its cells
+    differ in theta. The loss is built as `fit` builds it, so a cell that
+    `fit` refuses raises its ValueError here. With every threshold the loss
+    sees >= 0, an ELU neuron trains as the identity: a row with z > 0 gets z
+    and derivative 1.0 from both, and one with z <= 0 predicts <= 0 <= tau,
+    at the clamp (zero gradient) or, where z = 0 = tau, at 0 under both.
+    """
+    spec = parse_model_name(model)
+    net = _initial_net(spec, train.X.shape[1], init_scheme, init_seed)
+    loss = training_loss(net, spec.loss_kind, train, val, theta)[0]
+    config = net.config()
+    if type(net) is LinearQuantileNet and spec.loss_kind == "censored_nll" and np.all(loss.tau >= 0.0):
+        config["activation"] = "identity"
+    return (net.family, tuple(config.items()), spec.loss_kind, getattr(loss, "theta", None),
+            tuple((k, v.tobytes()) for k, v in net.params.items()))
+
+
+def reuse_fit(result, model, theta, seed):
+    """`result`, the fit of another cell of its training problem, as the fit
+    of the cell (model, theta) with fit seed `seed`: the cell's own net on a
+    copy of the parameters (inside the mirror when there is one). The traces,
+    epochs, diagnostics and wall time are the source's."""
+    mirrored = isinstance(result.net, MirrorWrapper)
+    source = result.net.inner if mirrored else result.net
+    net = parse_model_name(model).build(source.dim)
+    net.params = {k: v.copy() for k, v in source.params.items()}
+    return replace(result, net=MirrorWrapper(net) if mirrored else net, theta=theta, seed=seed)
 
 
 def _interval_fits(model, train, val, cfg, master_seed, *path):
@@ -256,8 +295,13 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
                 # with degenerate noise every latent quantile is the mean itself
                 truth = (test.X.sum(axis=1) if zero_noise
                          else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True))
+                fits = {}  # training problem -> the fit of its first cell
                 for model in T2_MODELS:
-                    result = fit_model(model, train, val, cfg, theta)
+                    problem = training_problem(model, theta, train, val)
+                    if problem in fits:
+                        result = reuse_fit(fits[problem], model, theta, cfg.seed)
+                    else:
+                        result = fits[problem] = fit_model(model, train, val, cfg, theta)
                     preds = result.predict(test.X)
                     for subset in metrics.SUBSETS:
                         rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truth)

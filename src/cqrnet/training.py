@@ -46,6 +46,7 @@ __all__ = [
     "FitResult",
     "NonFiniteLossError",
     "AllFitsDivergedError",
+    "training_loss",
     "fit",
     "fit_with_lr_grid",
     "train_mean_ratio",
@@ -85,7 +86,9 @@ class FitResult:
     best_epoch: int
     stopping_epoch: int
     wall_time: float
-    # {"stop_reason": "patience" | "max_epochs", "clip_share": share of Adam steps clipped}
+    # {"stop_reason": "patience" | "max_epochs", "clip_share": share of Adam steps clipped,
+    #  and for the censored NLL "clamp_share": share of training rows below their threshold
+    #  (after the mirror) at `net`}
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -160,6 +163,21 @@ def _adam_step_scalar(flat, grad, m, v, t, cfg: TrainConfig):
     flat -= steps
 
 
+def training_loss(net, loss_kind, train, val, theta=None):
+    """`fit`'s prologue: the loss object it trains `net` with, and the
+    training and validation sets that loss reads. Under the censored NLL,
+    right-censored sets are mirrored and the level is 1 - theta. Raises the
+    ValueError of a fit that `fit` refuses, before any epoch runs."""
+    if train.n < 1 or val.n < 1:
+        raise ValueError("train and val must be nonempty")
+    if loss_kind not in losses.TRAINING_LOSSES:
+        raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
+    if loss_kind == "censored_nll" and train.side == "right":
+        train, val = train.mirrored(), val.mirrored()
+        theta = None if theta is None else 1.0 - theta  # None: the loss names the missing level
+    return losses.TRAINING_LOSSES[loss_kind](train, val, theta, net), train, val
+
+
 def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     """Adam-fit `net` on `train`, early-stopping on `val`.
 
@@ -172,16 +190,9 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     the caller's theta. The tilted and Tobit losses train on either side
     directly.
     """
-    if train.n < 1 or val.n < 1:
-        raise ValueError("train and val must be nonempty")
-    if loss_kind not in losses.TRAINING_LOSSES:
-        raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
-    mirrored = loss_kind == "censored_nll" and train.side == "right"
-    level = theta
-    if mirrored:
-        train, val = train.mirrored(), val.mirrored()
-        level = None if theta is None else 1.0 - theta  # None: the loss names the missing level
-    loss = losses.TRAINING_LOSSES[loss_kind](train, val, level, net)
+    side = train.side
+    loss, train, val = training_loss(net, loss_kind, train, val, theta)
+    mirrored = train.side != side
     X = np.concatenate([train.X, val.X], dtype=float)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
@@ -231,6 +242,10 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
 
     fitted = net.copy()
     fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
+    diagnostics = {"stop_reason": stop_reason, "clip_share": clipped / steps}
+    if loss_kind == "censored_nll":
+        # once, at the returned weights: rows below their threshold carry no gradient
+        diagnostics["clamp_share"] = float(np.mean(fitted.forward(train.X) < train.tau))
     return FitResult(
         net=MirrorWrapper(fitted) if mirrored else fitted,
         loss_kind=loss_kind,
@@ -242,7 +257,7 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         best_epoch=best_epoch,
         stopping_epoch=epoch,
         wall_time=time.perf_counter() - started,
-        diagnostics={"stop_reason": stop_reason, "clip_share": clipped / steps},
+        diagnostics=diagnostics,
     )
 
 

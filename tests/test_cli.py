@@ -76,7 +76,8 @@ def test_fit_evaluate_pipeline(tmp_path):
     cells = sorted(p.name for p in fits.glob("fit-*-theta*.json"))
     assert len(cells) == 9  # cross product of models and thetas
     manifest = read_manifest(fits / "fit-manifest.json")
-    assert manifest["stats"] == {"skipped_existing": 0, "fitted": 9}
+    # thresholds are all 0, so each c-elu cell reuses its c-linear fit
+    assert manifest["stats"] == {"skipped_existing": 0, "fitted": 9, "trained": 6}
     # one trace per cell: a csv header and one row of repr strings per epoch
     traces = sorted(fits.glob("trace-*.csv"))
     assert len(traces) == 9
@@ -134,6 +135,71 @@ def test_fit_reads_dataset_once_and_jobs_agree(tmp_path, monkeypatch):
             docs[jobs][path.name] = doc
     assert len(loads) == 2  # once per command, not once per cell
     assert len(docs[1]) == 6 and docs[1] == docs[2]
+
+
+def _written_fits(out):
+    """Each fit JSON under `out` without its wall time, then each trace CSV's bytes."""
+    docs = {p.name: {k: v for k, v in json.loads(p.read_text()).items() if k != "wall_time"}
+            for p in sorted(out.glob("fit-*-theta*.json"))}
+    return docs, {p.name: p.read_bytes() for p in sorted(out.glob("trace-*.csv"))}
+
+
+def test_fit_trains_each_problem_once_and_writes_what_fitting_every_cell_writes(tmp_path, monkeypatch):
+    import cqrnet.cli as cli
+
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "heteroskedastic", "--n", 300, "--seed", 2, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-heteroskedastic.csv"
+    base = ["fit", "--data", data, "--thetas", "0.05,0.95", "--max-epochs", 60, "--seed", 2, "--dump-traces"]
+
+    def fit_dir(name, models, *extra):
+        assert run([*base, "--models", models, "--out-dir", tmp_path / name, *extra]) == 0
+        manifest = read_manifest(tmp_path / name / "fit-manifest.json")
+        return _written_fits(tmp_path / name), manifest["stats"], [os.path.basename(p) for p in manifest["outputs"]]
+
+    with monkeypatch.context() as patched:  # every cell its own problem: each one is fitted
+        patched.setattr(cli, "training_problem", lambda model, theta, *args: (model, theta))
+        want, stats, outputs = fit_dir("every-cell", "c-linear,c-elu,tobit")
+    assert stats == {"skipped_existing": 0, "fitted": 6, "trained": 6}
+    once = {"skipped_existing": 0, "fitted": 6, "trained": 3}
+    assert fit_dir("once", "c-linear,c-elu,tobit", "--jobs", 2) == (want, once, outputs)
+    assert fit_dir("reversed", "c-elu,c-linear,tobit")[:2] == (want, once)
+
+    # a skipped cell is no source: the next cell of its problem is fitted
+    (tmp_path / "skip").mkdir()
+    cell = "fit-c-linear-theta0.05.json"
+    (tmp_path / "skip" / cell).write_text((tmp_path / "once" / cell).read_text())
+    (docs, traces), stats, _ = fit_dir("skip", "c-linear,c-elu,tobit")
+    assert stats == {"skipped_existing": 1, "fitted": 5, "trained": 3}
+    assert docs == want[0]
+    assert traces == {k: v for k, v in want[1].items() if k != "trace-c-linear-theta0.05.csv"}
+
+
+def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
+    data_dir, out = tmp_path / "data", tmp_path / "fits"
+    assert run(["generate", "--censor", "fleet", "--alpha", 0.4, "--n-days", 120, "--seed", 1,
+                "--out-dir", data_dir]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--data", data_dir / "censored-fleet.csv", "--models", "tl-linear,c-linear",
+                "--thetas", "0.05,0.95", "--max-epochs", 30, "--seed", 1, "--out-dir", out]) == 2
+    assert "fit-c-linear-theta0.05: every training row has y == tau" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_fit_warns_of_a_cell_whose_training_rows_all_sit_at_the_clamp(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--censor", "partial", "--gamma", 0.3, "--c1", 0.34, "--c2", 0.66, "--n-days", 150,
+                "--seed", 1, "--out-dir", data_dir]) == 0
+    shares = {}
+    for init in ("ones", "standard_normal"):
+        capsys.readouterr()
+        assert run(["fit", "--data", data_dir / "censored-partial.csv", "--models", "c-linear", "--thetas", 0.05,
+                    "--seed", 1, "--init", init, "--out-dir", tmp_path / init]) == 0
+        warned = "warning: fit-c-linear-theta0.05: every training row is clamped" in capsys.readouterr().err
+        doc = json.loads((tmp_path / init / "fit-c-linear-theta0.05.json").read_text())
+        shares[init] = (warned, doc["diagnostics"]["clamp_share"])
+    assert shares["ones"] == (True, 1.0)
+    assert shares["standard_normal"][0] is False and 0.0 < shares["standard_normal"][1] < 1.0
 
 
 def test_evaluate_refuses_fits_from_another_split(tmp_path, capsys):

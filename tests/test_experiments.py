@@ -6,15 +6,21 @@ import json
 import numpy as np
 import pytest
 
+from cqrnet import datagen
 from cqrnet.experiments import (
     child_seed,
+    fit_model,
     parse_model_name,
+    reuse_fit,
     run_bike_protocol,
     run_t1,
     run_t2,
     run_t3,
     run_t4,
+    training_problem,
 )
+from cqrnet.models import MirrorWrapper
+from cqrnet.training import TrainConfig
 
 
 def test_child_seed_is_stable_and_path_sensitive():
@@ -44,6 +50,53 @@ def test_build_net_dims():
     assert parse_model_name("c-reg-linear").build(5).dropout_rate == 0.2
     assert parse_model_name("c-stacked-relu-10").build(4).units == 10
     assert parse_model_name("tobit").build(3).to_dict()["config"] == {"dim": 3, "sigma": 1.0, "estimate_sigma": False}
+
+
+def _bit_equal_fits(got, want):
+    """Traces, epochs, rate, level, seed, diagnostics, net and parameter bits agree."""
+    for attr in ("train_trace", "val_trace", "best_epoch", "stopping_epoch", "learning_rate", "theta", "seed",
+                 "diagnostics"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert type(got.net) is type(want.net) and got.net.to_dict() == want.net.to_dict()
+    inner = [r.net.inner if isinstance(r.net, MirrorWrapper) else r.net for r in (got, want)]
+    assert inner[0].params["beta"].tobytes() == inner[1].params["beta"].tobytes()
+
+
+@pytest.mark.parametrize("noise", datagen.NOISES)
+def test_c_elu_fit_is_the_c_linear_fit_wherever_thresholds_are_nonnegative(noise):
+    """From all-ones weights, with every threshold the censored NLL sees >= 0,
+    fitting c-elu is fitting c-linear: at every level and grid rate, the
+    reused c-linear fit is the real c-elu fit to the bit. The mirrored set,
+    right-censored with thresholds <= 0, reaches the loss as thresholds >= 0."""
+    ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, 400, child_seed(7, "rule", noise)))
+    train, val, _ = datagen.split(ds, seed=child_seed(7, "rule-split", noise))
+    for sets in ((train, val), (train.mirrored(), val.mirrored())):
+        for theta in (0.05, 0.5, 0.95):
+            assert training_problem("c-elu", theta, *sets) == training_problem("c-linear", theta, *sets)
+            for rate in TrainConfig().lr_grid:
+                cfg = TrainConfig(learning_rate=rate, max_epochs=600, seed=11)
+                source = fit_model("c-linear", *sets, cfg, theta)
+                _bit_equal_fits(reuse_fit(source, "c-elu", theta, 11), fit_model("c-elu", *sets, cfg, theta))
+
+
+def test_training_problem_tells_distinct_fits_apart():
+    ds = datagen.gen_synthetic(datagen.SyntheticSpec("standard_gaussian", 200, 3))
+    train, val, _ = datagen.split(ds, seed=4)
+    assert training_problem("tobit", 0.05, train, val) == training_problem("tobit", 0.95, train, val)
+    assert training_problem("c-linear", 0.05, train, val) != training_problem("c-linear", 0.95, train, val)
+    assert training_problem("c-linear", 0.5, train, val) != training_problem("tl-linear", 0.5, train, val)
+    # one negative threshold: an ELU prediction in (-1, 0) may sit above it
+    tau = train.tau.copy()
+    tau[np.flatnonzero(~train.censored)[0]] = -0.5
+    lowered = datagen.CensoredDataset(train.X, train.y, tau, train.censored, "left", train.y_star)
+    assert training_problem("c-elu", 0.5, lowered, val) != training_problem("c-linear", 0.5, lowered, val)
+    # cmd_fit seeds each cell's N(0,1) draw by its model and theta
+    normal = [training_problem(m, 0.5, train, val, "standard_normal", child_seed(0, "fit", "init", m, 0.5))
+              for m in ("c-elu", "c-linear")]
+    assert normal[0] != normal[1]
+    with pytest.raises(ValueError, match="unimputed"):
+        nan_tau = datagen.CensoredDataset(train.X, train.y, np.full(train.n, np.nan), train.censored, "left")
+        training_problem("c-linear", 0.5, nan_tau, val)
 
 
 def test_t1_cells_match_analytic_values():

@@ -183,7 +183,8 @@ def test_lr_grid_selection():
 @pytest.mark.parametrize("max_epochs", [5, 400])
 def test_fit_calls_forward_train_once_per_epoch_first(max_epochs):
     """Each epoch opens with one forward_train call and makes no forward
-    call; the benchmark's epoch clock relies on it."""
+    call; the benchmark's epoch clock relies on it. The one forward call
+    follows the last epoch: the censored fit's clamp share."""
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 21))
     train, val, _ = split(ds, seed=22)
     net = init_weights(RegularizedLinearNet(3), "ones")
@@ -201,6 +202,7 @@ def test_fit_calls_forward_train_once_per_epoch_first(max_epochs):
     expected = ["forward_train", "backward"] * (result.stopping_epoch + 1)
     if result.diagnostics["stop_reason"] == "patience":
         expected.pop()  # the stopping epoch ends before backward
+    expected.append("forward")
     assert result.diagnostics["stop_reason"] == ("max_epochs" if max_epochs == 5 else "patience")
     assert calls == expected
 

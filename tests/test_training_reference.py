@@ -115,13 +115,17 @@ def reference_fit(net, loss_kind, train, val, cfg, theta=None):
             m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
             v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
             net.params[k] = net.params[k] - cfg.learning_rate * (m[k] / c1) / (np.sqrt(v[k] / c2) + EPS)
+    diagnostics = {"stop_reason": stop_reason, "clip_share": clipped / steps}
+    if loss_kind == "censored_nll":
+        net.params = best_params
+        diagnostics["clamp_share"] = float(np.sum(net.forward(train.X) < train.tau)) / train.n
     return {
         "train_trace": train_trace,
         "val_trace": val_trace,
         "best_epoch": best_epoch,
         "stopping_epoch": epoch,
         "params": best_params,
-        "diagnostics": {"stop_reason": stop_reason, "clip_share": clipped / steps},
+        "diagnostics": diagnostics,
     }
 
 
