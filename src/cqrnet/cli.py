@@ -396,7 +396,7 @@ def build_parser():
 
     f = subparsers["fit"] = sub.add_parser("fit", help="fit model cells on a generated dataset")
     common(f)
-    f.add_argument("--jobs", type=int, default=1, help="worker processes for independent cells")
+    f.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for independent cells")
     f.add_argument("--force", action="store_true", help="refit cells even if outputs exist")
     f.add_argument("--data", required=True, help="dataset CSV from `generate`")
     f.add_argument("--models", default="tl-linear,c-linear,c-elu")
@@ -425,7 +425,7 @@ def build_parser():
     # each reaches the table only when given, and only a table that takes it
     r.add_argument("--replicates", type=_positive_int, help="datasets (t1) or replicates per cell")
     r.add_argument("--zero-noise", action="store_true", default=None, help="t2 only: noiseless debug generator")
-    r.add_argument("--jobs", type=int, help="t4-synthetic only: worker processes for its cells")
+    r.add_argument("--jobs", type=_positive_int, help="t4-synthetic only: worker processes for its cells")
     r.set_defaults(func=cmd_replicate)
 
     return parser, subparsers

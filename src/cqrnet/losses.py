@@ -64,28 +64,31 @@ def _as_1d(name, x, n=None):
 
 # -- kernels: arguments already validated -------------------------------------
 
-def _tilted(r, theta):
-    return np.maximum(theta * r, (theta - 1.0) * r)
+# The optional `out`, `branch` and `mask` arguments are work arrays that a training
+# objective allocates once per fit; the public views pass none.
+
+def _tilted(r, theta, out=None, branch=None):
+    return np.maximum(np.multiply(r, theta, out=out), np.multiply(r, theta - 1.0, out=branch), out=out)
 
 
-def _tilted_grad(r, upper, lower):
+def _tilted_grad(r, upper, lower, mask=None):
     """rho'(r) times a scale: `upper` = theta * scale where r >= 0 (the kink
     takes the upper branch), `lower` = (theta - 1) * scale elsewhere. Each of
     the three callers still computes its own branch values (training's are
-    pre-divided by n to keep their bits) until perfbench stops wrapping the
-    two public views by name."""
-    return np.where(r >= 0.0, upper, lower)
+    arrays of one value per training row, pre-divided by n to keep their
+    bits) until perfbench stops wrapping the two public views by name."""
+    return np.where(np.greater_equal(r, 0.0, out=mask), upper, lower)
 
 
-def _clamped_residual(y, tau, preds):
-    return y - np.maximum(tau, preds)
+def _clamped_residual(y, tau, preds, out=None):
+    return np.subtract(y, np.maximum(tau, preds, out=out), out=out)
 
 
-def _clamped_grad(tau, preds, grad):
+def _clamped_grad(tau, preds, grad, mask=None):
     """Rows clamped at their threshold (qhat < tau) carry no gradient; the
     tie qhat == tau passes `grad` through the prediction branch. Where
     qhat >= tau the clamped residual is y - qhat."""
-    return np.where(preds < tau, 0.0, grad)
+    return np.where(np.less(preds, tau, out=mask), 0.0, grad)
 
 
 def _tobit_z(y, means, sigma, side):
@@ -209,7 +212,7 @@ class _TrainingLoss:
 
     def _means(self, per_row):
         n = self.n
-        return float(per_row[:n].sum()) / n, float(per_row[n:].sum()) / self.n_val
+        return float(np.add.reduce(per_row[:n])) / n, float(np.add.reduce(per_row[n:])) / self.n_val
 
 
 class _QuantileLoss(_TrainingLoss):
@@ -219,8 +222,20 @@ class _QuantileLoss(_TrainingLoss):
             raise ValueError(f"{self.name} loss needs a quantile level")
         self.theta = _check_theta(theta)
         self.tau = _as_1d("tau", np.concatenate([train.tau, val.tau]), self.y.shape[0])
-        # -rho'(r) / n on either side of the kink: d(mean loss) / d qhat
-        self._dpred_upper, self._dpred_lower = -self.theta / self.n, -(self.theta - 1.0) / self.n
+        n = self.n
+        # work arrays written every epoch: the residual, rho(r), rho's other branch and a mask
+        # over the training rows, with the views of their blocks that an epoch reads
+        self._r, self._rho, self._branch = np.empty_like(self.y), np.empty_like(self.y), np.empty_like(self.y)
+        self._mask, self._tau_train = np.empty(n, dtype=bool), self.tau[:n]
+        self._r_train, self._rho_train, self._rho_val = self._r[:n], self._rho[:n], self._rho[n:]
+        # -rho'(r) / n on either side of the kink, d(mean loss) / d qhat, for each training row
+        self._dpred_upper, self._dpred_lower = np.full(n, -self.theta / n), np.full(n, -(self.theta - 1.0) / n)
+
+    def _terms(self, r):
+        """The train and val means of rho(r) and the training rows' dpred, for r in `_r`."""
+        dpred = _tilted_grad(self._r_train, self._dpred_upper, self._dpred_lower, self._mask)
+        _tilted(r, self.theta, self._rho, self._branch)
+        return float(np.add.reduce(self._rho_train)) / self.n, float(np.add.reduce(self._rho_val)) / self.n_val, dpred
 
 
 class TiltedLoss(_QuantileLoss):
@@ -229,9 +244,7 @@ class TiltedLoss(_QuantileLoss):
     name = "tilted"
 
     def __call__(self, preds):
-        r = self.y - preds
-        dpred = _tilted_grad(r[: self.n], self._dpred_upper, self._dpred_lower)
-        return *self._means(_tilted(r, self.theta)), dpred, {}
+        return *self._terms(np.subtract(self.y, preds, out=self._r)), {}
 
 
 class CensoredQrLoss(_QuantileLoss):
@@ -250,10 +263,8 @@ class CensoredQrLoss(_QuantileLoss):
                              "clamped at the thresholds scores zero loss, so the fit has nothing to learn")
 
     def __call__(self, preds):
-        n = self.n
-        r = _clamped_residual(self.y, self.tau, preds)
-        dpred = _clamped_grad(self.tau[:n], preds[:n], _tilted_grad(r[:n], self._dpred_upper, self._dpred_lower))
-        return *self._means(_tilted(r, self.theta)), dpred, {}
+        tr, va, dpred = self._terms(_clamped_residual(self.y, self.tau, preds, self._r))
+        return tr, va, _clamped_grad(self._tau_train, preds[:self.n], dpred, self._mask), {}
 
 
 class TobitLoss(_TrainingLoss):

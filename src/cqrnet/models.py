@@ -43,7 +43,10 @@ call time, so a net holds only plain data and pickles as it is.
 One pass serves a training epoch: `forward_train` records and drops out
 only the first `n_train` rows (training rows stacked on validation rows)
 and evaluates the rest as `forward`, the same pass, would. Elementwise work
-runs once; each matmul is split at the boundary (`_matmul_rows`).
+runs once; each matmul is split at the boundary (`_matmul_rows`). A linear
+net keeps its training pass's row blocks and output buffer while X and
+n_train stay the same, so the result of `forward_train` lives until the
+next training pass; `forward` always returns fresh arrays.
 
 The sigmoid is computed as 0.5 + 0.5 * tanh(z / 2): it needs no branch on
 the sign of z, stays finite in both tails and agrees with 1 / (1 + e^-z)
@@ -195,17 +198,22 @@ class LinearQuantileNet(_Net):
     forward, forward_train = _Net.forward, _Net.forward_train
 
     def _pass(self, X, n):
-        z = _matmul_rows(X, self.params["beta"], n)
-        if n:
-            self._cache = (X[:n], z[:n])
+        if not n:
+            return _ACTIVATIONS[self.activation][0](_matmul_rows(X, self.params["beta"], 0))
+        # a training pass over the same X and n reuses its row blocks and output buffer
+        if self._cache is None or self._cache[0] is not X or self._cache[1] != n:
+            z = np.empty(X.shape[0])
+            self._cache = (X, n, X[:n], X[n:], X[:n].T, z, z[:n], z[n:])
+        _, _, head, tail, _, z, z_head, z_tail = self._cache
+        np.dot(head, self.params["beta"], out=z_head)
+        np.dot(tail, self.params["beta"], out=z_tail)
         return _ACTIVATIONS[self.activation][0](z)
 
     def backward(self, dpred):
-        X, z = self._require_cache()
-        dz = np.asarray(dpred, dtype=float)
+        _, _, _, _, head_t, _, z_head, _ = self._require_cache()
         if self.activation != "identity":
-            dz = dz * _ACTIVATIONS[self.activation][1](z)
-        return {"beta": X.T @ dz}
+            dpred = dpred * _ACTIVATIONS[self.activation][1](z_head)
+        return {"beta": head_t @ dpred}
 
 
 class RegularizedLinearNet(LinearQuantileNet):

@@ -11,11 +11,14 @@ best validation epoch are returned.
 An epoch is one `net.forward_train(X, rng, train.n)` over the training
 rows stacked on the validation rows, then one call of the fit's loss
 object: both means, dpred and the loss's own parameter gradients (a
-learned Tobit scale). The parameters live in one flat vector, each
-`net.params[k]` a view of it, so clipping, the Adam step (in Python floats
-for a few parameters) and the best-epoch snapshot each act on one array.
-Every step keeps the arithmetic of separate per-set calls and per-key
-sums, so seeded traces stay the same to the bit.
+learned Tobit scale). A linear net and the quantile losses write into
+buffers they keep across epochs, so a pass's outputs are read within its
+epoch. The parameters live in one flat vector, each `net.params[k]` a view
+of it, so clipping, the Adam step and the best-epoch snapshot each act on
+one array. Up to 16 parameters, clipping and Adam run in Python floats,
+the norm summed in numpy's order. Every step keeps the arithmetic of
+separate per-set calls and per-key sums, so seeded traces stay the same
+to the bit.
 
 `fit` is the one entry point for every loss and orientation. Under the
 censored NLL, right-censored data is fitted through the mirror: the inner
@@ -87,8 +90,8 @@ class FitResult:
     stopping_epoch: int
     wall_time: float
     # {"stop_reason": "patience" | "max_epochs", "clip_share": share of Adam steps clipped,
-    #  and for the censored NLL "clamp_share": share of training rows below their threshold
-    #  (after the mirror) at `net`}
+    #  for the censored NLL "clamp_share": share of training rows below their threshold
+    #  (after the mirror) at `net`, and from `fit_with_lr_grid` "grid": every rate's record}
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -104,14 +107,11 @@ class FitResult:
 
 
 class AllFitsDivergedError(RuntimeError):
-    """Every learning rate in the grid diverged."""
+    """Every learning rate in the grid diverged; `grid` holds each rate's record."""
 
-    def __init__(self, diagnostics):
-        super().__init__(
-            "all learning rates diverged: "
-            + "; ".join(f"lr={lr}: {msg}" for lr, msg in diagnostics.items())
-        )
-        self.diagnostics = diagnostics
+    def __init__(self, grid):
+        super().__init__("all learning rates diverged: " + "; ".join(f"lr={e['lr']}: {e['diverged']}" for e in grid))
+        self.grid = grid
 
 
 def _flatten_params(net):
@@ -130,8 +130,21 @@ def _flatten_params(net):
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _adam_step(flat, grad, m, v, t, cfg: TrainConfig):
-    """Adam update number t (from 1) of `flat` and its moments m, v, in place."""
+def _flat_grad(grads, slices):
+    """The gradients as one vector in parameter order."""
+    return (next(iter(grads.values())).ravel() if len(grads) == 1
+            else np.concatenate([grads[k] for k in slices], axis=None))
+
+
+def _adam_step(flat, grads, slices, m, v, t, cfg: TrainConfig):
+    """Clip the global norm of `grads` (summed per key, in `grads` order) to
+    cfg.clip_norm, then take Adam update number t (from 1) of `flat` and its
+    moments m, v, in place; returns whether it clipped."""
+    grad = _flat_grad(grads, slices)
+    grad_sq = grad * grad
+    norm = math.sqrt(sum(float(grad_sq[slices[k]].sum()) for k in grads))
+    if norm > cfg.clip_norm:
+        grad *= cfg.clip_norm / norm
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
@@ -145,22 +158,46 @@ def _adam_step(flat, grad, m, v, t, cfg: TrainConfig):
     denom += ADAM_EPS
     step /= denom
     flat -= step
+    return norm > cfg.clip_norm
+
+
+def _sum_squares(xs):
+    """np.sum of the squares of a contiguous vector of at most 128 floats, in
+    numpy's order: from -0.0 one by one below 8 elements; from 8 on, 8 running
+    sums over blocks of 8, combined as a tree, then the rest one by one."""
+    total, rest = -0.0, xs
+    if len(xs) >= 8:
+        r, end = [x * x for x in xs[:8]], len(xs) - len(xs) % 8
+        for i in range(8, end, 8):
+            r = [a + x * x for a, x in zip(r, xs[i:i + 8])]
+        total, rest = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), xs[end:]
+    for x in rest:
+        total += x * x
+    return total
 
 
 # Largest vector for `_adam_step_scalar`: the numpy form breaks even at about 24.
 _SCALAR_ADAM_MAX = 16
 
 
-def _adam_step_scalar(flat, grad, m, v, t, cfg: TrainConfig):
-    """`_adam_step` in Python floats, bit for bit, with m and v lists."""
+def _adam_step_scalar(flat, grads, slices, m, v, t, cfg: TrainConfig):
+    """`_adam_step` in Python floats, bit for bit, with m and v lists: the
+    gradient is read once and `flat` written once."""
+    grad = _flat_grad(grads, slices).tolist()
+    # sum() over one key adds its sum to 0, which changes no bit
+    norm = math.sqrt(_sum_squares(grad) if len(grads) == 1 else sum(_sum_squares(grad[slices[k]]) for k in grads))
+    if norm > cfg.clip_norm:
+        scale = cfg.clip_norm / norm
+        grad = [g * scale for g in grad]
     b1, b2, rate, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    steps = []
-    for i, g in enumerate(grad.tolist()):
+    new = flat.tolist()
+    for i, g in enumerate(grad):
         m[i] = m[i] * b1 + (1.0 - b1) * g
         v[i] = v[i] * b2 + (1.0 - b2) * g * g
-        steps.append(m[i] / c1 * rate / (math.sqrt(v[i] / c2) + eps))
-    flat -= steps
+        new[i] -= m[i] / c1 * rate / (math.sqrt(v[i] / c2) + eps)
+    flat[:] = new
+    return norm > cfg.clip_norm
 
 
 def training_loss(net, loss_kind, train, val, theta=None):
@@ -230,15 +267,8 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
             break
         grads = net.backward(dpred)
         grads.update(loss_grads)
-        grad = (next(iter(grads.values())).ravel() if len(grads) == 1
-                else np.concatenate([grads[k] for k in slices], axis=None))
-        grad_sq = grad * grad
-        norm = math.sqrt(sum(float(grad_sq[slices[k]].sum()) for k in grads))
-        if norm > cfg.clip_norm:
-            grad *= cfg.clip_norm / norm
-            clipped += 1
         steps += 1
-        adam_step(flat, grad, m, v, steps, cfg)
+        clipped += adam_step(flat, grads, slices, m, v, steps, cfg)
 
     fitted = net.copy()
     fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
@@ -264,22 +294,26 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
 def fit_with_lr_grid(net_factory, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     """One fit per grid learning rate from identical initial weights;
     returns the one with the smallest best-epoch validation loss (ties go
-    to the smaller rate). Diverged rates are excluded; if every rate
-    diverges the per-rate diagnostics are raised together."""
+    to the smaller rate). Its diagnostics["grid"] records every rate in the
+    order they ran: `lr`, `epochs` (forward passes, the diverging one
+    included) and `best_val_loss` with `stop_reason`, or the `diverged`
+    message. If every rate diverges the messages are raised together."""
     if not cfg.lr_grid:
         raise ValueError("lr_grid must be nonempty")
-    best_result = None
-    diagnostics = {}
+    best_result, grid = None, []
     for lr in sorted(cfg.lr_grid):
         try:
             result = fit(net_factory(), loss_kind, train, val, replace(cfg, learning_rate=lr), theta)
         except NonFiniteLossError as exc:
-            diagnostics[lr] = str(exc)
+            grid.append({"lr": lr, "epochs": len(exc.train_trace) + 1, "diverged": str(exc)})
             continue
+        grid.append({"lr": lr, "epochs": result.stopping_epoch + 1, "best_val_loss": result.best_val_loss,
+                     "stop_reason": result.diagnostics["stop_reason"]})
         if best_result is None or result.best_val_loss < best_result.best_val_loss:
             best_result = result
     if best_result is None:
-        raise AllFitsDivergedError(diagnostics)
+        raise AllFitsDivergedError(grid)
+    best_result.diagnostics["grid"] = grid
     return best_result
 
 

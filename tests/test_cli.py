@@ -453,6 +453,17 @@ def test_jobs_and_force_only_on_the_subcommands_that_act_on_them(tmp_path):
     assert run(generate) == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_must_be_a_positive_integer(tmp_path, capsys, jobs):
+    for argv in (["fit", "--data", tmp_path / "none.csv", "--jobs", jobs, "--out-dir", tmp_path / "f"],
+                 ["replicate", "t4-synthetic", "--replicates", 1, "--jobs", jobs, "--out-dir", tmp_path / "r"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert f"must be a positive integer, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists() and not (tmp_path / "r").exists()
+
+
 def test_replicate_bike_runs_the_registered_protocol(tmp_path, monkeypatch):
     """`replicate bike` calls `experiments.TABLES["bike"]`, the bike protocol
     (a stand-in here; criterion 9 runs the real one), and writes its outputs."""

@@ -220,7 +220,8 @@ def test_forward_between_a_training_pass_and_backward_changes_nothing(case):
     A, B = X[:116], X[116:]
     dpred = rng.normal(size=58)
 
-    want = net.forward_train(A, np.random.default_rng(5), 58)
+    # a copy: the linear nets' training pass returns the buffer the next one overwrites
+    want = net.forward_train(A, np.random.default_rng(5), 58).copy()
     want_grads = net.backward(dpred)
     for _ in range(2):
         got = net.forward_train(A, np.random.default_rng(5), 58)

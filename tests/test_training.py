@@ -45,23 +45,33 @@ def linear_dataset(beta, n=200, seed=0, noise=0.0):
 def test_adam_zero_gradient_is_noop():
     flat = np.array([1.0, -2.0])
     m, v = np.zeros(2), np.zeros(2)
-    _adam_step(flat, np.zeros(2), m, v, 1, TrainConfig())
+    assert not _adam_step(flat, {"beta": np.zeros(2)}, {"beta": slice(0, 2)}, m, v, 1, TrainConfig())
     assert np.array_equal(flat, np.array([1.0, -2.0]))
 
 
-@pytest.mark.parametrize("size", [1, 3, 16])
-def test_scalar_adam_step_equals_numpy_step(size):
-    rng = np.random.default_rng(size)
+@pytest.mark.parametrize("sizes", [(1,), (3,), (7,), (8,), (9,), (15,), (16,), (8, 1), (3, 9, 4)],
+                         ids=lambda sizes: "+".join(map(str, sizes)))
+def test_scalar_adam_step_equals_numpy_step(sizes):
+    """The Python-float step sums the clip norm in numpy's order (sequential
+    below 8 elements, 8 running sums from 8 on), so norm, clip and Adam step
+    equal the numpy path's bit for bit, with the keys given in reverse."""
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
     cfg = TrainConfig(learning_rate=0.03)
-    flat = rng.normal(size=size)
-    want, m, v = flat.copy(), np.zeros(size), np.zeros(size)
-    got, m_list, v_list = flat.copy(), [0.0] * size, [0.0] * size
+    ends = np.cumsum(sizes).tolist()
+    slices = {f"p{i}": slice(end - size, end) for i, (size, end) in enumerate(zip(sizes, ends))}
+    flat = rng.normal(size=ends[-1])
+    want, m, v = flat.copy(), np.zeros(flat.size), np.zeros(flat.size)
+    got, m_list, v_list = flat.copy(), [0.0] * flat.size, [0.0] * flat.size
+    clipped = 0
     for t in range(1, 500):
-        grad = rng.normal(size=size) * 10.0 ** rng.integers(-9, 4)
-        _adam_step(want, grad, m, v, t, cfg)
-        _adam_step_scalar(got, grad, m_list, v_list, t, cfg)
+        scale = 10.0 ** rng.integers(-9, 4)
+        grads = {k: rng.normal(size=sl.stop - sl.start) * scale for k, sl in reversed(slices.items())}
+        got_clipped = _adam_step_scalar(got, grads, slices, m_list, v_list, t, cfg)
+        assert _adam_step(want, grads, slices, m, v, t, cfg) == got_clipped
         assert np.array_equal(got, want), t
+        clipped += got_clipped
     assert m.tolist() == m_list and v.tolist() == v_list
+    assert 0 < clipped < 499
 
 
 def test_config_validation():
@@ -225,6 +235,35 @@ def test_lr_grid_calls_fit_once_per_rate(monkeypatch):
     assert rates == [0.01, 0.1, 1.0, 1e308]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lr_grid_records_every_rate(monkeypatch):
+    """The winner's diagnostics["grid"] holds every rate in the order they
+    ran, the diverged rate's message too; its epochs add up to the forward
+    passes the fits ran, and the fit JSON and a reused fit carry it."""
+    import json
+
+    from cqrnet.experiments import reuse_fit
+
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 200, 23))
+    train, val, _ = split(ds, seed=24)
+    passes = []
+    forward_train = LinearQuantileNet.forward_train
+    monkeypatch.setattr(LinearQuantileNet, "forward_train",
+                        lambda net, *args: passes.append(1) or forward_train(net, *args))
+    result = fit_with_lr_grid(lambda: init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
+                              TrainConfig(lr_grid=(1.0, 0.01, 1e308, 0.1), max_epochs=200), theta=0.5)
+    grid = result.diagnostics["grid"]
+    assert [entry["lr"] for entry in grid] == [0.01, 0.1, 1.0, 1e308]
+    assert grid[-1].keys() == {"lr", "epochs", "diverged"}
+    assert grid[-1]["diverged"].startswith("non-finite loss at epoch")
+    assert all(entry.keys() == {"lr", "epochs", "best_val_loss", "stop_reason"} for entry in grid[:-1])
+    assert {"lr": result.learning_rate, "epochs": result.stopping_epoch + 1, "best_val_loss": result.best_val_loss,
+            "stop_reason": result.diagnostics["stop_reason"]} in grid
+    assert sum(entry["epochs"] for entry in grid) == len(passes)
+    assert json.loads(json.dumps(result.to_json_dict()))["diagnostics"]["grid"] == grid
+    assert reuse_fit(result, "c-elu", 0.5, 7).diagnostics["grid"] == grid
+
+
 def test_lr_grid_all_diverged():
     ds = linear_dataset([1.0, 1.0], n=20, seed=4)
     ds.y[0] = np.nan
@@ -232,8 +271,10 @@ def test_lr_grid_all_diverged():
     def factory():
         return init_weights(LinearQuantileNet(2), "ones")
 
-    with pytest.raises(AllFitsDivergedError):
+    with pytest.raises(AllFitsDivergedError) as exc:
         fit_with_lr_grid(factory, "tilted", ds, ds, TrainConfig(lr_grid=(0.01, 0.1)), theta=0.5)
+    assert [(entry["lr"], entry["epochs"]) for entry in exc.value.grid] == [(0.01, 1), (0.1, 1)]
+    assert "lr=0.01: non-finite loss at epoch 0" in str(exc.value)
 
 
 # -- mirror fitting ----------------------------------------------------------

@@ -150,6 +150,12 @@ CASES = {
     "lstm": (lambda: LstmQuantileNet(lags=3, hidden_size=3), "tilted", 0.5),
     "tobit-fixed-sigma": (lambda: TobitNet(4, sigma=1.5), "tobit", None),
     "tobit-learned-sigma": (lambda: TobitNet(4, estimate_sigma=True), "tobit", None),
+    # from 8 weights on numpy sums the clip norm over 8 running sums; above 16 fit takes the numpy step
+    "linear-8": (lambda: LinearQuantileNet(8), "censored_nll", 0.3),
+    "linear-elu-9": (lambda: LinearQuantileNet(9, activation="elu"), "tilted", 0.6),
+    "linear-16": (lambda: LinearQuantileNet(16), "tilted", 0.4),
+    "linear-17": (lambda: LinearQuantileNet(17), "censored_nll", 0.7),
+    "tobit-learned-sigma-8": (lambda: TobitNet(7, estimate_sigma=True), "tobit", None),
 }
 
 
@@ -157,10 +163,12 @@ CASES = {
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fit_matches_reference_loop(case, seed):
     make_net, loss_kind, theta = CASES[case]
-    train = censored_data(4, 120, seed, positive=case == "lstm")
-    val = censored_data(4, 50, seed + 100, positive=case == "lstm")
-    cfg = TrainConfig(learning_rate=0.02, clip_norm=0.5, patience=8, max_epochs=50, seed=seed)
     net = init_weights(make_net(), "standard_normal", seed=seed)
+    train = censored_data(net.dim, 120, seed, positive=case == "lstm")
+    val = censored_data(net.dim, 50, seed + 100, positive=case == "lstm")
+    # the wider nets' gradients are smaller: 0.25 clips most of their steps, where the norm's bits count
+    cfg = TrainConfig(learning_rate=0.02, clip_norm=0.5 if net.dim == 4 else 0.25, patience=8, max_epochs=50,
+                      seed=seed)
     want = reference_fit(net.copy(), loss_kind, train, val, cfg, theta)
     got = fit(net, loss_kind, train, val, cfg, theta)
     assert got.train_trace == want["train_trace"]
