@@ -1,11 +1,11 @@
 """Run perfbench in a parent and a change checkout, in alternating pairs, and write BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --parent-rev 036f905 \
-        --workloads synthetic-tables --seeds 1 9001 --pairs 10 --out BENCH_15.json
+        --workloads synthetic-tables --seeds 1 9001 --out BENCH_15.json
 
-Each run is `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its checkout;
-the last line it prints is the result. Pair i runs the parent first when i is even and the change
-first when i is odd. For every end-to-end metric in the change checkout's BENCHMARK.json the file
+Each run is `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its checkout,
+N being BENCHMARK.json's run_seconds; the last line it prints is the result. Each workload and seed
+gets 10 pairs; pair i runs the parent first when i is even and the change first when i is odd. For every end-to-end metric in the change checkout's BENCHMARK.json the file
 records both sides' runs with their median and inclusive quartiles, the pairs the change wins and
 the gap between the medians over the parent's interquartile range.
 
@@ -24,6 +24,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
 DEFINITIONS = {
     "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
     "pair_wins": "pairs in which the change's value is better than the parent's (ties count for neither)",
@@ -85,16 +86,12 @@ def main(argv=None):
     parser.add_argument("--parent-rev", default=None, help="the parent's commit, recorded in the file")
     parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 9001])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--claim", help="the claimed gain, recorded in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2: quartiles need two runs a side")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
 
     doc = {}
@@ -116,7 +113,7 @@ def main(argv=None):
         for seed in args.seeds:
             values = {side: {name: [] for name in specs} for side in SIDES}
             first, correct = [], True
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
                     result, details = run_once(getattr(args, side), workload, seed, seconds)
