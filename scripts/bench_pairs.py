@@ -2,12 +2,20 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --parent-rev 036f905 \
         --workloads synthetic-tables --seeds 1 9001 --out BENCH_15.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --tables t4-synthetic \
+        --seeds 0 1 9001 --out BENCH_16.json
 
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its checkout,
 N being BENCHMARK.json's run_seconds; the last line it prints is the result. Each workload and seed
 gets 10 pairs; pair i runs the parent first when i is even and the change first when i is odd. For every end-to-end metric in the change checkout's BENCHMARK.json the file
 records both sides' runs with their median and inclusive quartiles, the pairs the change wins and
 the gap between the medians over the parent's interquartile range.
+
+`--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; perfbench
+workloads then run only when `--workloads` is given too). Each table and seed gets 5 pairs,
+alternating in the same way, and the file records the wall time of each run, summarized as above,
+with the SHA-256 of the raw CSV, the rendered table and the verdicts each side wrote, and whether
+every run on both sides wrote the same bytes.
 
 The output file is rewritten after every pair, and entries of other workloads and seeds already in
 it are kept, so workloads can be run one invocation at a time. A run that exits nonzero stops the
@@ -17,14 +25,20 @@ script with its error; the pairs finished before it stay in the file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TABLE_PAIRS = 5
+TABLES = {"t4-synthetic": ("--jobs", "2")}
+TABLE_OUTPUTS = ("raw.csv", "table.txt", "verdicts.json")
 DEFINITIONS = {
     "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
     "pair_wins": "pairs in which the change's value is better than the parent's (ties count for neither)",
@@ -43,6 +57,27 @@ def run_once(checkout, workload, seed, seconds):
         raise RuntimeError(f"perfbench in {checkout} ({workload}, seed {seed}) exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
     return json.loads(lines[-1]), json.loads(lines[-2])
+
+
+def run_table(checkout, table, seed):
+    """One `cqrnet replicate` run of `table` in `checkout`: (wall seconds, {output: SHA-256}), with
+    the exit status among the outputs, since a table whose verdicts fail exits 1."""
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from cqrnet.cli import main; sys.exit(main())", "replicate",
+             table, *TABLES[table], "--seed", str(seed), "--out-dir", out],
+            cwd=checkout, env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src")),
+            capture_output=True, text=True, check=False)
+        wall = time.perf_counter() - start
+        if proc.returncode not in (0, 1):
+            raise RuntimeError(f"replicate {table} in {checkout} (seed {seed}) exited {proc.returncode}: "
+                               f"{proc.stderr.strip()[-2000:]}")
+        digests = {"exit": proc.returncode}
+        for name in TABLE_OUTPUTS:
+            with open(os.path.join(out, f"{table}-{name}"), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return wall, digests
 
 
 def side_stats(runs):
@@ -84,7 +119,10 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write (kept entries are updated)")
     parser.add_argument("--parent-rev", default=None, help="the parent's commit, recorded in the file")
-    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--workloads", nargs="+",
+                        help="default: every workload of BENCHMARK.json, or none when --tables is given")
+    parser.add_argument("--tables", nargs="+", choices=sorted(TABLES), default=[],
+                        help="replicate tables to time")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 9001])
     parser.add_argument("--claim", help="the claimed gain, recorded in the file")
     args = parser.parse_args(argv)
@@ -92,15 +130,16 @@ def main(argv=None):
         bench = json.load(fh)
     specs = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads or ([] if args.tables else [w["name"] for w in bench["workloads"]])
 
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     doc.update({
-        "what": "perfbench end-to-end metrics, parent commit vs this change, in alternating pairs (the even "
-                "pairs run the parent first, the odd pairs the change first; `first` lists it per pair)",
+        "what": "perfbench end-to-end metrics (`workloads`) and `cqrnet replicate` wall times with output "
+                "digests (`tables`), parent commit vs this change, in alternating pairs (the even pairs run "
+                "the parent first, the odd pairs the change first; `first` lists it per pair)",
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         **DEFINITIONS,
     })
@@ -128,6 +167,27 @@ def main(argv=None):
                     doc["workloads"].setdefault(workload, {})[f"seed_{seed}"] = {
                         "pairs": i + 1, "all_correct": correct, "first": first,
                         "metrics": summarize(values, specs)}
+                    _write(args.out, doc)
+
+    for table in args.tables:
+        for seed in args.seeds:
+            walls = {side: {"wall_s": []} for side in SIDES}
+            digests = {side: [] for side in SIDES}
+            first = []
+            for i in range(TABLE_PAIRS):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    wall, outputs = run_table(getattr(args, side), table, seed)
+                    walls[side]["wall_s"].append(wall)
+                    digests[side].append(outputs)
+                    print(f"{table} seed {seed} pair {i} {side}: wall_s={wall:.4g}", file=sys.stderr)
+                first.append(order[0])
+                if i >= 1:
+                    doc.setdefault("tables", {}).setdefault(table, {})[f"seed_{seed}"] = {
+                        "command": f"cqrnet replicate {table} {' '.join(TABLES[table])} --seed {seed}",
+                        "pairs": i + 1, "first": first, "metrics": summarize(walls, {"wall_s": specs["wall_s"]}),
+                        "digests": {side: digests[side][0] for side in SIDES},
+                        "outputs_identical": all(d == digests["parent"][0] for side in SIDES for d in digests[side])}
                     _write(args.out, doc)
     return 0
 

@@ -234,6 +234,7 @@ class RegularizedLinearNet(LinearQuantileNet):
             raise ValueError(f"l2_coeff must be nonnegative, got {l2_coeff}")
         self.dropout_rate = float(dropout_rate)
         self.l2_coeff = float(l2_coeff)
+        self._dropped = None
 
     def forward_train(self, X, rng=None, n_train=None, dropout_mask=None):
         X = self._check(X)
@@ -244,9 +245,17 @@ class RegularizedLinearNet(LinearQuantileNet):
             keep = rng.random((n, self.dim - 1)) >= self.dropout_rate
             dropout_mask = keep / (1.0 - self.dropout_rate)
         if dropout_mask is not None:
-            X = X.copy()
-            X[:n, 1:] = X[:n, 1:] * dropout_mask
+            # one copy per (X, n), its training inputs rewritten: `_pass` keeps its row blocks
+            if self._dropped is None or self._dropped[0] is not X or self._dropped[1] != n:
+                self._dropped = (X, n, X.copy())
+            np.multiply(X[:n, 1:], dropout_mask, out=self._dropped[2][:n, 1:])
+            X = self._dropped[2]
         return self._pass(X, n)
+
+    def copy(self):
+        dup = super().copy()
+        dup._dropped = None
+        return dup
 
     def backward(self, dpred):
         grads = super().backward(dpred)

@@ -57,3 +57,35 @@ def test_main_runs_ten_alternating_pairs_at_the_benchmark_length(tmp_path, monke
     assert {seconds for _, seconds in calls} == {bench["run_seconds"]} and len(calls) == 20
     assert cell["pairs"] == 10 and cell["first"] == ["parent", "change"] * 5
     assert cell["metrics"]["wall_s"]["pair_wins"] == 10 and cell["metrics"]["epochs_per_s"]["pair_wins"] == 0
+
+
+@pytest.mark.parametrize("change_csv", ["same", "other"])
+def test_main_times_five_alternating_table_pairs_with_digests(tmp_path, monkeypatch, change_csv):
+    """--tables alone runs no perfbench workload; each table and seed gets 5
+    pairs that alternate which side runs first, with both sides' digests."""
+    module = _bench_pairs()
+    calls = []
+
+    def run_table(checkout, table, seed):
+        calls.append((checkout, table, seed))
+        parent = checkout == str(tmp_path)
+        csv = "same" if parent else change_csv
+        return (2.0 if parent else 1.0) + len(calls) / 1000, {"exit": 0, "raw.csv": csv, "table.txt": "t"}
+
+    def run_once(*args):
+        raise AssertionError("no perfbench run expected")
+
+    monkeypatch.setattr(module, "run_table", run_table)
+    monkeypatch.setattr(module, "run_once", run_once)
+    out = str(tmp_path / "bench.json")
+    module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tables", "t4-synthetic",
+                 "--seeds", "9001"])
+    with open(out) as fh:
+        doc = json.load(fh)
+    cell = doc["tables"]["t4-synthetic"]["seed_9001"]
+    assert len(calls) == 10 and {call[1:] for call in calls} == {("t4-synthetic", 9001)}
+    assert "workloads" not in doc or not doc["workloads"]
+    assert cell["pairs"] == 5 and cell["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert cell["metrics"]["wall_s"]["pair_wins"] == 5 and len(cell["metrics"]["wall_s"]["parent"]["runs"]) == 5
+    assert cell["digests"]["change"]["raw.csv"] == change_csv
+    assert cell["outputs_identical"] == (change_csv == "same")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cqrnet import datagen
+from cqrnet import datagen, experiments
 from cqrnet.experiments import (
     child_seed,
     fit_model,
@@ -124,6 +124,25 @@ def test_t4_raw_rows_identical_across_jobs():
     serial = run_t4(jobs=1, **kwargs)
     parallel = run_t4(jobs=2, **kwargs)
     assert serial.raw_rows == parallel.raw_rows
+
+
+@pytest.mark.parametrize("model", ["tl-linear", "c-linear", "c-reg-linear", "c-lstm"])
+def test_t4_cell_grid_per_model(model, monkeypatch):
+    """Table 4's c-lstm grid leaves out rate 0.001; the linear models keep the full grid."""
+    grids = []
+
+    class Sentinel(Exception):
+        pass
+
+    def record(net_factory, loss_kind, train, val, cfg, theta=None):
+        grids.append(cfg.lr_grid)
+        raise Sentinel
+
+    monkeypatch.setattr(experiments, "fit_with_lr_grid", record)
+    trips = datagen.bundled_trip_table(60, seed=3)
+    with pytest.raises(Sentinel):
+        experiments._t4_cell((0, 0.2, 0, model, trips))
+    assert grids == [(0.01, 0.1, 1.0) if model == "c-lstm" else TrainConfig().lr_grid]
 
 
 def test_table_render_contains_verdicts():

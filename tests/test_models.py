@@ -288,6 +288,25 @@ def test_dropout_train_mode_masks_inputs():
     assert np.all((preds - 1.0) % 2.0 == pytest.approx(0.0, abs=1e-12))
 
 
+def test_dropout_training_passes_reuse_their_row_blocks():
+    """Two training passes over one X keep the first pass's row blocks, and
+    only the training rows' non-intercept inputs are ever scaled."""
+    rng = np.random.default_rng(5)
+    net = init_weights(RegularizedLinearNet(4, dropout_rate=0.5), "standard_normal", seed=6)
+    X = np.column_stack([np.ones(30), 1.0 + np.abs(rng.normal(size=(30, 3)))])
+    X_before = X.copy()
+    masks = np.random.default_rng(8)
+    first = net.forward_train(X, masks, 20).copy()
+    blocks = net._cache
+    second = net.forward_train(X, masks, 20)
+    assert all(a is b for a, b in zip(net._cache, blocks))
+    assert not np.array_equal(first[:20], second[:20])
+    assert np.array_equal(first[20:], net.forward(X[20:])) and np.array_equal(second[20:], first[20:])
+    head, tail = net._cache[2], net._cache[3]
+    assert np.array_equal(tail, X[20:]) and np.all(head[:, 0] == 1.0)
+    assert np.array_equal(X, X_before)
+
+
 def test_dropout_requires_rng_or_mask():
     net = RegularizedLinearNet(3, dropout_rate=0.2)
     with pytest.raises(ValueError):
