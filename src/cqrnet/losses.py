@@ -6,12 +6,10 @@ Conventions
   Quantile fitting feeds it the residual r = y - qhat, so under-prediction
   of a high quantile (theta near 1) is the expensive direction.
 * The censored quantile NLL clamps predictions at the per-row threshold:
-  sum_i rho_theta(y_i - max(tau_i, qhat_i)). It assumes the left-censored
-  orientation (y >= tau); right-censored data goes through the mirror
-  wrapper first.
-* The Tobit NLL supports both censoring orientations through `side`:
-  "lower" uses Phi for censored rows (latent below the threshold),
-  "upper" uses 1 - Phi.
+  sum_i rho_theta(y_i - max(tau_i, qhat_i)). The Tobit NLL uses Phi for
+  censored rows (latent below the threshold). Both read left-censored rows
+  (y >= tau) only: a right-censored row is passed mirrored, its y, tau and
+  predictions negated, as `training.fit` does through the MirrorWrapper.
 
 Each formula is one private kernel: the tilted value and subgradient, the
 censored clamp and its gradient, and the Tobit per-row log-likelihood with
@@ -29,7 +27,7 @@ import math
 
 import numpy as np
 
-from .normal import normal_cdf, normal_log_pdf, normal_pdf, normal_survival
+from .normal import normal_cdf, normal_log_pdf, normal_pdf
 
 __all__ = [
     "tilted_loss",
@@ -71,13 +69,13 @@ def _tilted(r, theta, out=None, branch=None):
     return np.maximum(np.multiply(r, theta, out=out), np.multiply(r, theta - 1.0, out=branch), out=out)
 
 
-def _tilted_grad(r, upper, lower, mask=None):
-    """rho'(r) times a scale: `upper` = theta * scale where r >= 0 (the kink
-    takes the upper branch), `lower` = (theta - 1) * scale elsewhere. Each of
+def _tilted_grad(r, nonneg, neg, mask=None):
+    """rho'(r) times a scale: `nonneg` = theta * scale where r >= 0 (the
+    kink takes theta), `neg` = (theta - 1) * scale elsewhere. Each of
     the three callers still computes its own branch values (training's are
     arrays of one value per training row, pre-divided by n to keep their
     bits) until perfbench stops wrapping the two public views by name."""
-    return np.where(np.greater_equal(r, 0.0, out=mask), upper, lower)
+    return np.where(np.greater_equal(r, 0.0, out=mask), nonneg, neg)
 
 
 def _clamped_residual(y, tau, preds, out=None):
@@ -91,12 +89,11 @@ def _clamped_grad(tau, preds, grad, mask=None):
     return np.where(np.less(preds, tau, out=mask), 0.0, grad)
 
 
-def _tobit_z(y, means, sigma, side):
-    """r = y - mu, z = r / sigma and the floored censored-side probability."""
+def _tobit_z(y, means, sigma):
+    """r = y - mu, z = r / sigma and the floored censored-side probability Phi(z)."""
     r = y - means
     z = r / sigma
-    prob = normal_cdf(z) if side == "lower" else normal_survival(z)
-    return r, z, np.maximum(prob, PROB_FLOOR)
+    return r, z, np.maximum(normal_cdf(z), PROB_FLOOR)
 
 
 def _tobit_ll_rows(censored, z, prob, sigma):
@@ -104,9 +101,9 @@ def _tobit_ll_rows(censored, z, prob, sigma):
     return np.where(censored, np.log(prob), normal_log_pdf(z) - math.log(sigma))
 
 
-def _tobit_grads(censored, r, z, prob, sigma, side, log_sigma=True):
+def _tobit_grads(censored, r, z, prob, sigma, log_sigma=True):
     """d NLL / d mu_i and, with `log_sigma`, d NLL / d log(sigma) (else None)."""
-    spdf = normal_pdf(z) if side == "lower" else -normal_pdf(z)
+    spdf = normal_pdf(z)
     grad_mean = np.where(censored, spdf / prob / sigma, -r / sigma**2)
     if not log_sigma:
         return grad_mean, None
@@ -126,7 +123,7 @@ def tilted_loss(r, theta):
 
 
 def tilted_loss_subgrad(r, theta):
-    """d rho_theta / d r; the kink at r = 0 takes the upper branch (theta)."""
+    """d rho_theta / d r; the kink at r = 0 takes theta."""
     theta = _check_theta(theta)
     return _scalar_or_array(_tilted_grad(np.asarray(r, dtype=float), theta, theta - 1.0))
 
@@ -160,10 +157,8 @@ def censored_qr_nll_grad(y, tau, preds, theta):
     return _clamped_grad(tau, preds, _tilted_grad(r, -theta, 1.0 - theta))
 
 
-def _tobit_rows(y, censored, means, sigma, side):
+def _tobit_rows(y, censored, means, sigma):
     """Validated (censored, r, z, prob, sigma) of one set of rows."""
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -171,24 +166,23 @@ def _tobit_rows(y, censored, means, sigma, side):
     censored = np.asarray(censored, dtype=bool)
     if censored.shape != y.shape:
         raise ValueError("censored flags must match y")
-    return censored, *_tobit_z(y, _as_1d("means", means, y.shape[0]), sigma, side), sigma
+    return censored, *_tobit_z(y, _as_1d("means", means, y.shape[0]), sigma), sigma
 
 
-def tobit_nll(y, censored, means, sigma, side="lower"):
-    """Tobit negative log-likelihood with fixed sigma (summed).
+def tobit_nll(y, censored, means, sigma):
+    """Tobit negative log-likelihood of left-censored rows, fixed sigma (summed).
 
     Non-censored rows contribute -log phi(z) + log sigma with
-    z = (y - mu)/sigma; censored rows contribute -log Phi(z) for lower
-    censorship or -log(1 - Phi(z)) for upper. The censored-side
-    probability is floored at 1e-300 before the log.
+    z = (y - mu)/sigma; censored rows contribute -log Phi(z), floored at
+    1e-300 before the log. Right-censored rows are passed mirrored.
     """
-    censored, _, z, prob, sigma = _tobit_rows(y, censored, means, sigma, side)
+    censored, _, z, prob, sigma = _tobit_rows(y, censored, means, sigma)
     return float(-_tobit_ll_rows(censored, z, prob, sigma).sum())
 
 
-def tobit_nll_grad_mean(y, censored, means, sigma, side="lower"):
+def tobit_nll_grad_mean(y, censored, means, sigma):
     """d NLL / d mu_i for the summed Tobit NLL."""
-    return _tobit_grads(*_tobit_rows(y, censored, means, sigma, side), side, log_sigma=False)[0]
+    return _tobit_grads(*_tobit_rows(y, censored, means, sigma), log_sigma=False)[0]
 
 
 # -- training objectives ------------------------------------------------------
@@ -206,7 +200,11 @@ class NonFiniteLossError(RuntimeError):
 
 
 class _TrainingLoss:
+    left_only = True  # a censored likelihood: `training.fit` mirrors right-censored sets for it
+
     def __init__(self, train, val):
+        if self.left_only and (train.side != "left" or val.side != "left"):
+            raise ValueError(f"{self.name} expects left-censored data; mirror right-censored data first")
         self.n, self.n_val = train.n, val.n
         self.y = np.concatenate([_as_1d("y", train.y, train.n), _as_1d("y", val.y, val.n)])
 
@@ -229,11 +227,11 @@ class _QuantileLoss(_TrainingLoss):
         self._mask, self._tau_train = np.empty(n, dtype=bool), self.tau[:n]
         self._r_train, self._rho_train, self._rho_val = self._r[:n], self._rho[:n], self._rho[n:]
         # -rho'(r) / n on either side of the kink, d(mean loss) / d qhat, for each training row
-        self._dpred_upper, self._dpred_lower = np.full(n, -self.theta / n), np.full(n, -(self.theta - 1.0) / n)
+        self._dpred_nonneg, self._dpred_neg = np.full(n, -self.theta / n), np.full(n, -(self.theta - 1.0) / n)
 
     def _terms(self, r):
         """The train and val means of rho(r) and the training rows' dpred, for r in `_r`."""
-        dpred = _tilted_grad(self._r_train, self._dpred_upper, self._dpred_lower, self._mask)
+        dpred = _tilted_grad(self._r_train, self._dpred_nonneg, self._dpred_neg, self._mask)
         _tilted(r, self.theta, self._rho, self._branch)
         return float(np.add.reduce(self._rho_train)) / self.n, float(np.add.reduce(self._rho_val)) / self.n_val, dpred
 
@@ -241,7 +239,7 @@ class _QuantileLoss(_TrainingLoss):
 class TiltedLoss(_QuantileLoss):
     """Mean tilted loss of y - qhat; blind to censoring."""
 
-    name = "tilted"
+    name, left_only = "tilted", False
 
     def __call__(self, preds):
         return *self._terms(np.subtract(self.y, preds, out=self._r)), {}
@@ -254,8 +252,6 @@ class CensoredQrLoss(_QuantileLoss):
 
     def __init__(self, train, val, theta, net):
         super().__init__(train, val, theta, net)
-        if train.side != "left" or val.side != "left":
-            raise ValueError("censored_nll expects left-censored data; mirror right-censored data first")
         if np.any(np.isnan(self.tau)):
             raise ValueError("dataset has unimputed thresholds (NaN tau)")
         if np.all(self.y[:self.n] == self.tau[:self.n]):
@@ -268,19 +264,20 @@ class CensoredQrLoss(_QuantileLoss):
 
 
 class TobitLoss(_TrainingLoss):
-    """Mean Tobit NLL, lower for left-censored data and upper for right.
+    """Mean Tobit NLL of left-censored data.
 
     The scale is the TobitNet's current sigma; one not positive and finite
     (a learned scale that overflowed) raises NonFiniteLossError. A learned
     scale also gets its `log_sigma` gradient. One Phi call per epoch.
     """
 
+    name = "tobit"
+
     def __init__(self, train, val, theta, net):
         super().__init__(train, val)
         self.censored = np.concatenate([train.censored, val.censored]).astype(bool)
         if self.censored.shape != self.y.shape:
             raise ValueError("censored flags must match y")
-        self.side = "lower" if train.side == "left" else "upper"
         self._net = net
         self._learned = "log_sigma" in net.params
 
@@ -289,10 +286,9 @@ class TobitLoss(_TrainingLoss):
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise NonFiniteLossError(f"Tobit scale sigma = {sigma} is not positive and finite")
         n = self.n
-        r, z, prob = _tobit_z(self.y, preds, sigma, self.side)
+        r, z, prob = _tobit_z(self.y, preds, sigma)
         tr, va = self._means(_tobit_ll_rows(self.censored, z, prob, sigma))
-        grad_mean, grad_log_sigma = _tobit_grads(
-            self.censored[:n], r[:n], z[:n], prob[:n], sigma, self.side, self._learned)
+        grad_mean, grad_log_sigma = _tobit_grads(self.censored[:n], r[:n], z[:n], prob[:n], sigma, self._learned)
         param_grads = {"log_sigma": np.array([grad_log_sigma / n])} if self._learned else {}
         return -tr, -va, grad_mean / n, param_grads
 

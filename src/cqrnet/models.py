@@ -476,9 +476,9 @@ class TobitNet(LinearQuantileNet):
 class MirrorWrapper(_Net):
     """Negate-and-mirror view of an inner net for right-censored data.
 
-    predict(x; theta) = -inner.predict(-x; 1-theta); the training pipeline
-    fits the inner net on the negated (left-censored) dataset, so this
-    wrapper only has to mirror evaluation. Inputs are mirrored as the
+    quantile(x, theta) = -inner.quantile(-x, 1 - theta); the training
+    pipeline fits the inner net on the negated (left-censored) dataset, so
+    this wrapper only has to mirror evaluation. Inputs are mirrored as the
     dataset's covariates are (`datagen.mirror_covariates`): the intercept
     slot keeps its +1 convention and is not negated.
     """
@@ -496,7 +496,11 @@ class MirrorWrapper(_Net):
     def forward(self, X):
         return -self.inner.forward(mirror_covariates(X))
 
-    def forward_train(self, X, rng=None):
+    def quantile(self, X, theta):
+        """The inner net's quantile at level 1 - theta, mirrored; a missing level stays missing."""
+        return -self.inner.quantile(mirror_covariates(X), None if theta is None else 1.0 - theta)
+
+    def forward_train(self, X, rng=None, n_train=None):
         raise RuntimeError(
             "MirrorWrapper is an evaluation view; train the inner net on the mirrored dataset instead"
         )

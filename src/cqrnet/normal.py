@@ -46,11 +46,6 @@ def normal_cdf(z):
     return 0.5 * erfc.reshape(z.shape)
 
 
-def normal_survival(z):
-    """1 - Phi(z) = Phi(-z), without cancellation for large z."""
-    return normal_cdf(-np.asarray(z, dtype=float))
-
-
 def _quantile_initial(p: float) -> float:
     # Abramowitz & Stegun 26.2.23 rational approximation (|err| < 4.5e-4),
     # stated for the upper-tail argument; p here is a lower-tail probability.
@@ -64,7 +59,7 @@ def std_normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF, accurate to <= 1e-9 absolute.
 
     For p > 1/2 the reflection uses 1-p, which is exact in IEEE double
-    (Sterbenz), and Newton then solves the survival form so no accuracy
+    (Sterbenz), and Newton then works in the lower tail, so no accuracy
     is lost to cancellation near 1.
     """
     p = float(p)
@@ -79,8 +74,8 @@ def std_normal_quantile(p: float) -> float:
         pdf = normal_pdf(x)
         if pdf == 0.0:
             break
-        # Phi(x) for x < 0 evaluated as a survival, keeping relative accuracy.
-        x -= (0.5 * math.erfc(-x / SQRT2) - p) / pdf
+        # Phi(x) for x < 0 through erfc, keeping relative accuracy
+        x -= (normal_cdf(x) - p) / pdf
     return x
 
 

@@ -26,9 +26,9 @@ def tobit_fit(train: CensoredDataset, val: CensoredDataset, cfg: TrainConfig,
               sigma=1.0, estimate_sigma=False, init_scheme="ones", init_seed=None) -> FitResult:
     """Minimize the Tobit NLL over the linear mean via the shared Adam loop.
 
-    The likelihood orientation follows the dataset side (left-censored
-    data uses the lower form). Weights start at ones unless a different
-    scheme is requested. The result has no theta, so its `predict` raises
+    Right-censored data is fitted through the mirror, as `fit` does, so
+    the result's net is then a MirrorWrapper. Weights start at ones unless
+    a different scheme is requested. The result has no theta, so its `predict` raises
     ValueError: predict through `result.net.quantile(X, theta)`.
     """
     net = TobitNet(train.X.shape[1], sigma=sigma, estimate_sigma=estimate_sigma)

@@ -20,11 +20,11 @@ the norm summed in numpy's order. Every step keeps the arithmetic of
 separate per-set calls and per-key sums, so seeded traces stay the same
 to the bit.
 
-`fit` is the one entry point for every loss and orientation. Under the
-censored NLL, right-censored data is fitted through the mirror: the inner
-net trains on the negated (left-censored) sets at level 1 - theta, and the
-result holds it in a MirrorWrapper whose predictions are already in the
-original orientation.
+`fit` is the one entry point for every loss and orientation. Only the
+tilted loss trains on either side directly; under the censored NLL and
+Tobit, the inner net trains on the mirrored (left-censored) sets at level
+1 - theta, and the result holds it in a MirrorWrapper whose quantiles are
+already in the original orientation.
 
 Adam's constants (`ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`) are fixed;
 `TrainConfig` holds only what a protocol or a test sets. Why training
@@ -202,17 +202,19 @@ def _adam_step_scalar(flat, grads, slices, m, v, t, cfg: TrainConfig):
 
 def training_loss(net, loss_kind, train, val, theta=None):
     """`fit`'s prologue: the loss object it trains `net` with, and the
-    training and validation sets that loss reads. Under the censored NLL,
-    right-censored sets are mirrored and the level is 1 - theta. Raises the
-    ValueError of a fit that `fit` refuses, before any epoch runs."""
+    training and validation sets that loss reads. Under a censored
+    likelihood (the censored NLL, Tobit), right-censored sets are mirrored
+    and the level is 1 - theta. Raises the ValueError of a fit that `fit`
+    refuses, before any epoch runs."""
     if train.n < 1 or val.n < 1:
         raise ValueError("train and val must be nonempty")
     if loss_kind not in losses.TRAINING_LOSSES:
         raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
-    if loss_kind == "censored_nll" and train.side == "right":
+    loss_cls = losses.TRAINING_LOSSES[loss_kind]
+    if loss_cls.left_only and train.side == "right":
         train, val = train.mirrored(), val.mirrored()
         theta = None if theta is None else 1.0 - theta  # None: the loss names the missing level
-    return losses.TRAINING_LOSSES[loss_kind](train, val, theta, net), train, val
+    return loss_cls(train, val, theta, net), train, val
 
 
 def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
@@ -222,10 +224,10 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     validation epoch. Raises NonFiniteLossError if either loss leaves the
     reals (the lr-grid driver treats that as a diverged cell).
 
-    The censored NLL on right-censored data fits `net` on the mirrored sets
-    at level 1 - theta; the result then holds it in a MirrorWrapper, with
-    the caller's theta. The tilted and Tobit losses train on either side
-    directly.
+    The censored NLL and Tobit on right-censored data fit `net` on the
+    mirrored sets at level 1 - theta; the result then holds it in a
+    MirrorWrapper, with the caller's theta. Only the tilted loss trains on
+    either side directly.
     """
     side = train.side
     loss, train, val = training_loss(net, loss_kind, train, val, theta)

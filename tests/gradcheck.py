@@ -67,7 +67,9 @@ def loss_fd_draws(kind, n_configs=100):
 
     Each is a dict of eight-row arrays `y` and `q` (the predictions), the
     loss's own data (`tau`, or `censored` with Tobit's `sigma` and `side`),
-    the level `theta` and the row `i` to check.
+    the level `theta` and the row `i` to check. A Tobit draw on the "upper"
+    side is right-censored, so it reaches the likelihood as `fit` trains it:
+    mirrored, with y and the predictions negated (y is also its tau).
     """
     rng = np.random.default_rng(LOSS_FD_SEEDS[kind])
     done = 0
@@ -93,6 +95,8 @@ def loss_fd_draws(kind, n_configs=100):
             cens = rng.random(n) < 0.4
             sigma = rng.uniform(0.6, 1.8)
             side = "lower" if rng.random() < 0.5 else "upper"
+            if side == "upper":
+                y, mu = -y, -mu
             draw = {"y": y, "q": mu, "censored": cens, "sigma": sigma, "side": side}
         yield dict(draw, theta=theta, i=int(rng.integers(n)))
         done += 1
@@ -108,8 +112,7 @@ def training_loss_fd_check(kind, learned_scale=False, n_configs=100):
         y, q, i = c["y"], c["q"], c["i"]
         n = y.size
         ds = CensoredDataset(X=np.ones((n, 1)), y=y, tau=c.get("tau", y),
-                             censored=c.get("censored", np.zeros(n, dtype=bool)),
-                             side="right" if c.get("side") == "upper" else "left")
+                             censored=c.get("censored", np.zeros(n, dtype=bool)))
         net = TobitNet(1, sigma=c["sigma"], estimate_sigma=learned_scale) if kind == "tobit" else None
         loss = TRAINING_LOSSES[kind](ds, ds, c["theta"], net)
 

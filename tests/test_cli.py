@@ -293,6 +293,25 @@ def test_fit_tobit_via_cli(tmp_path):
     assert docs[0]["net"]["family"] == "tobit"
 
 
+def test_tobit_on_right_censored_series_fits_through_the_mirror(tmp_path):
+    """Tobit cells on right-censored series data are saved as a mirrored
+    Tobit net, and evaluate scores their interval with exit 0."""
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--censor", "partial", "--n-days", 120, "--seed", 2, "--out-dir", data_dir]) == 0
+    data = data_dir / "censored-partial.csv"
+    fits = tmp_path / "fits"
+    assert run(["fit", "--data", data, "--models", "tobit", "--thetas", "0.05,0.95", "--max-epochs", 50,
+                "--seed", 2, "--out-dir", fits]) == 0
+    for path in sorted(fits.glob("fit-tobit-*.json")):
+        net = json.loads(path.read_text())["net"]
+        assert (net["family"], net["inner"]["family"]) == ("mirror", "tobit")
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--data", data, "--fits", fits, "--seed", 2, "--out-dir", out]) == 0
+    with open(out / "evaluation.csv") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["model"] == "tobit"]
+    assert {row["theta"] for row in rows} == {"0.05-0.95"} and all(float(row["mil"]) > 0.0 for row in rows)
+
+
 def test_fit_unknown_model_errors(tmp_path):
     data_dir = tmp_path / "data"
     run(["generate", "--synthetic", "standard_gaussian", "--seed", 1, "--out-dir", data_dir])

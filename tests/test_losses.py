@@ -156,17 +156,26 @@ def test_censored_nll_refuses_training_rows_all_at_their_thresholds():
 
 # -- Tobit NLL ---------------------------------------------------------------
 
+def right_censored_nll(y, censored, means, sigma):
+    """Oracle: the summed Tobit NLL of right-censored rows (latent at or above
+    y where censored), from `math.erfc` and the Gaussian density directly."""
+    z = (np.asarray(y) - means) / sigma
+    upper_tail = [-math.log(0.5 * math.erfc(v / math.sqrt(2.0))) for v in z]
+    density = 0.5 * z * z + 0.5 * math.log(2 * math.pi) + math.log(sigma)
+    return float(np.sum(np.where(censored, upper_tail, density)))
+
+
 def test_tobit_examples():
     # non-censored at the mean: -log(phi(0)) = log(sqrt(2*pi))
     got = tobit_nll(np.array([1.0]), np.array([False]), np.array([1.0]), 1.0)
     assert got == pytest.approx(0.5 * math.log(2 * math.pi))
     assert got == pytest.approx(0.9189, abs=5e-5)
-    # censored at the clamp, upper orientation: -log(1 - Phi(0)) = log(2)
-    got = tobit_nll(np.array([0.0]), np.array([True]), np.array([0.0]), 1.0, side="upper")
+    # censored at the clamp: -log(Phi(0)) = log(2)
+    got = tobit_nll(np.array([0.0]), np.array([True]), np.array([0.0]), 1.0)
     assert got == pytest.approx(math.log(2.0))
-    # lower orientation mirrors it
-    got = tobit_nll(np.array([0.0]), np.array([True]), np.array([0.0]), 1.0, side="lower")
-    assert got == pytest.approx(math.log(2.0))
+    # a right-censored row one sigma above its mean, passed mirrored: -log(1 - Phi(1))
+    got = tobit_nll(-np.array([1.0]), np.array([True]), -np.array([0.0]), 1.0)
+    assert got == pytest.approx(-math.log(0.5 * math.erfc(1.0 / math.sqrt(2.0))), rel=1e-14)
 
 
 def test_tobit_domain_errors():
@@ -176,8 +185,9 @@ def test_tobit_domain_errors():
         for fn in (tobit_nll, tobit_nll_grad_mean):
             with pytest.raises(ValueError, match="sigma"):
                 fn(y, c, y, sigma)
-    with pytest.raises(ValueError):
-        tobit_nll(y, c, y, 1.0, side="sideways")
+    with pytest.raises(ValueError, match="left-censored"):
+        TobitLoss(CensoredDataset(X=np.ones((1, 1)), y=y, tau=y, censored=c, side="right"),
+                  CensoredDataset(X=np.ones((1, 1)), y=y, tau=y, censored=c), None, TobitNet(1))
 
 
 def test_tobit_equals_gaussian_nll_without_censoring():
@@ -193,9 +203,12 @@ def test_tobit_equals_gaussian_nll_without_censoring():
 
 def test_tobit_extreme_censored_term_is_finite():
     # deep in the clamped tail the floored probability keeps the loss finite
-    got = tobit_nll(np.array([0.0]), np.array([True]), np.array([60.0]), 1.0, side="lower")
+    got = tobit_nll(np.array([0.0]), np.array([True]), np.array([60.0]), 1.0)
     assert math.isfinite(got)
 
+
+# "upper": right-censored rows, which reach the likelihood mirrored (y and means
+# negated), checked against differences of the right-censored oracle above
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_tobit_mean_gradient_matches_fd(side):
@@ -207,11 +220,15 @@ def test_tobit_mean_gradient_matches_fd(side):
         y = mu + rng.normal(size=n)
         cens = rng.random(n) < 0.4
         sigma = rng.uniform(0.5, 2.0)
-        grad = tobit_nll_grad_mean(y, cens, mu, sigma, side)
+        if side == "lower":
+            nll, grad = tobit_nll, tobit_nll_grad_mean(y, cens, mu, sigma)
+        else:
+            nll, grad = right_censored_nll, -tobit_nll_grad_mean(-y, cens, -mu, sigma)
+            assert tobit_nll(-y, cens, -mu, sigma) == pytest.approx(nll(y, cens, mu, sigma), rel=1e-12)
         i = rng.integers(n)
         e = np.zeros(n)
         e[i] = h
-        fd = (tobit_nll(y, cens, mu + e, sigma, side) - tobit_nll(y, cens, mu - e, sigma, side)) / (2 * h)
+        fd = (nll(y, cens, mu + e, sigma) - nll(y, cens, mu - e, sigma)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -220,6 +237,7 @@ def test_tobit_log_sigma_gradient_matches_fd(side):
     """The training loss's gradient for a learned scale, summed over the rows
     (n times its mean), against central differences of the summed NLL."""
     rng = np.random.default_rng(17)
+    nll = tobit_nll if side == "lower" else right_censored_nll
     for _ in range(100):
         n = 6
         mu = rng.normal(scale=1.5, size=n)
@@ -229,13 +247,16 @@ def test_tobit_log_sigma_gradient_matches_fd(side):
         h = 1e-6
         ds = CensoredDataset(X=np.ones((n, 1)), y=y, tau=y, censored=cens,
                              side="left" if side == "lower" else "right")
+        means = mu
+        if side == "upper":
+            ds, means = ds.mirrored(), -mu
         net = TobitNet(1, estimate_sigma=True)
         loss = TobitLoss(ds, ds, None, net)
         net.params["log_sigma"] = np.array([log_sigma])
-        grad = n * loss(np.concatenate([mu, mu]))[3]["log_sigma"][0]
+        grad = n * loss(np.concatenate([means, means]))[3]["log_sigma"][0]
         fd = (
-            tobit_nll(y, cens, mu, math.exp(log_sigma + h), side)
-            - tobit_nll(y, cens, mu, math.exp(log_sigma - h), side)
+            nll(y, cens, mu, math.exp(log_sigma + h))
+            - nll(y, cens, mu, math.exp(log_sigma - h))
         ) / (2 * h)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
 

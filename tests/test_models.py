@@ -423,6 +423,17 @@ def test_mirror_does_not_train_directly():
         wrapper.forward_train(np.ones((2, 3)))
 
 
+def test_fit_of_a_mirror_raises_its_runtime_error():
+    """`fit` calls forward_train as it does for every net; the wrapper takes
+    that call and refuses it with its own RuntimeError, not a TypeError."""
+    from cqrnet.datagen import SyntheticSpec, gen_synthetic, split
+    from cqrnet.training import TrainConfig, fit
+
+    train, val, _ = split(gen_synthetic(SyntheticSpec("standard_gaussian", 60, 3)), seed=4)
+    with pytest.raises(RuntimeError, match="evaluation view"):
+        fit(MirrorWrapper(init_weights(LinearQuantileNet(3), "ones")), "tilted", train, val, TrainConfig(), theta=0.5)
+
+
 # -- serialization -----------------------------------------------------------
 
 @pytest.mark.parametrize("make", [

@@ -1,10 +1,12 @@
 """Tobit baseline: fitting, quantiles, consistency with OLS and the generator."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cqrnet.datagen import CensoredDataset, SyntheticSpec, gen_synthetic, split
-from cqrnet.models import LinearQuantileNet, init_weights, net_from_dict
+from cqrnet.datagen import CensoredDataset, SyntheticSpec, gen_synthetic, mirror_covariates, split
+from cqrnet.models import LinearQuantileNet, MirrorWrapper, init_weights, net_from_dict
 from cqrnet.normal import std_normal_quantile
 from cqrnet.tobit import TobitNet, tobit_fit
 from cqrnet.training import TrainConfig, fit
@@ -138,11 +140,38 @@ def test_fit_scale_and_sides():
     result = tobit_fit(train, val, TrainConfig())
     assert result.net.current_sigma() == 1.0
 
-    # right-censored data trains under the upper orientation directly
+    # right-censored data trains through the mirror
     mirrored = ds.mirrored()
     tr, va, _ = split(mirrored, seed=10)
     res_r = tobit_fit(tr, va, TrainConfig())
-    assert np.isfinite(res_r.best_val_loss)
+    assert isinstance(res_r.net, MirrorWrapper) and np.isfinite(res_r.best_val_loss)
+
+
+def test_fit_on_right_censored_sets_goes_through_the_mirror():
+    """A Tobit fit on right-censored sets is the fit on the mirrored sets,
+    held in a MirrorWrapper: the same traces and parameters to the bit,
+    quantiles at the mirrored level, the plain Tobit's refusal to predict
+    without a level, and a saved form that loads back."""
+    train, val, test = split(gen_synthetic(SyntheticSpec("heteroskedastic", 300, 21)).mirrored(), seed=22)
+    cfg = TrainConfig(learning_rate=0.05, max_epochs=200)
+    net = init_weights(TobitNet(3, estimate_sigma=True), "standard_normal", seed=23)
+    got = fit(net.copy(), "tobit", train, val, cfg)
+    want = fit(net.copy(), "tobit", train.mirrored(), val.mirrored(), cfg)
+    assert isinstance(got.net, MirrorWrapper) and isinstance(got.net.inner, TobitNet)
+    assert (got.train_trace, got.val_trace) == (want.train_trace, want.val_trace)
+    assert (got.best_epoch, got.stopping_epoch, got.diagnostics) == (
+        want.best_epoch, want.stopping_epoch, want.diagnostics)
+    assert list(got.net.params) == list(want.net.params) == ["beta", "log_sigma"]
+    assert all(np.array_equal(got.net.params[k], want.net.params[k]) for k in want.net.params)
+    for theta in (0.05, 0.5, 0.95):
+        assert np.array_equal(got.net.quantile(test.X, theta),
+                              -got.net.inner.quantile(mirror_covariates(test.X), 1 - theta))
+    with pytest.raises(ValueError, match="a Tobit quantile needs a level theta"):
+        got.predict(test.X)
+    clone = net_from_dict(json.loads(json.dumps(got.net.to_dict())))
+    assert isinstance(clone, MirrorWrapper) and isinstance(clone.inner, TobitNet)
+    for theta in (0.05, 0.95):
+        assert np.array_equal(clone.quantile(test.X, theta), got.net.quantile(test.X, theta))
 
 
 def test_cqr_widths_vary_on_heteroskedastic_benchmark():

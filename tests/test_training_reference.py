@@ -37,13 +37,12 @@ def tilted_subgrad(r, theta):
 
 
 def tobit_terms(ds, means, sigma):
-    """z, the censored-side probability (floored at 1e-300) and the signed
-    density, lower for left-censored rows and upper for right."""
+    """z, the censored-side probability Phi(z) (floored at 1e-300) and the
+    density of left-censored rows, the only rows `fit` passes the likelihood."""
     z = (ds.y - means) / sigma
-    sign = 1.0 if ds.side == "left" else -1.0
-    erfc = np.array([math.erfc(v) for v in -(sign * z) / math.sqrt(2.0)])
+    erfc = np.array([math.erfc(v) for v in -z / math.sqrt(2.0)])
     prob = np.maximum(0.5 * erfc, 1e-300)
-    return z, prob, sign * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    return z, prob, np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 # Adam's constants, as Kingma and Ba give them
