@@ -477,7 +477,7 @@ def _t4_cell(task):
     lo, hi = (result.predict(test.X) for result in
               _interval_fits(model, train, val, cfg, master_seed, "t4", "init", alpha, rep, model))
     rp = metrics.subset_report(test, "all_test", lower=lo, upper=hi)
-    return [model, alpha, rep, repr(rp.icp), repr(rp.mil)]
+    return [model, alpha, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed]
 
 
 def _map_tasks(fn, tasks, jobs):
@@ -504,7 +504,7 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
     trips = datagen.bundled_trip_table(n_days, seed=child_seed(master_seed, "t4", "trips"))
     tasks = [(master_seed, alpha, rep, model, trips)
              for alpha in alphas for rep in range(replicates) for model in models]
-    columns = ["model", "alpha", "rep", "icp", "mil"]
+    columns = ["model", "alpha", "rep", "icp", "mil", "n_crossed"]
     raw = list(_map_tasks(_t4_cell, tasks, jobs))
     cells = _aggregate(columns, raw, ("model", "alpha"),
                        (("icp", np.mean), ("icp", np.std), ("mil", np.mean), ("mil", np.std)))
@@ -559,7 +559,7 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
     """
     cfg = TrainConfig()
     series = datagen.bundled_daily_series(n_days, seed=child_seed(master_seed, "bike", "series"))
-    columns = ["model", "gamma", "c1", "c2", "subset", "rep", "icp", "mil", "fallback"]
+    columns = ["model", "gamma", "c1", "c2", "subset", "rep", "icp", "mil", "fallback", "n_crossed"]
     raw = []
     for gamma in gammas:
         for cr in c_ranges:
@@ -583,10 +583,8 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                     lo, hi = (result.predict(test.X) for result in pairs[index])
                     for subset in metrics.SUBSETS:
                         rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
-                        raw.append(
-                            [model, gamma, cr[0], cr[1], subset, rep,
-                             repr(rp.icp), repr(rp.mil), int(fallback)]
-                        )
+                        raw.append([model, gamma, cr[0], cr[1], subset, rep,
+                                    repr(rp.icp), repr(rp.mil), int(fallback), rp.n_crossed])
     cells = _aggregate(columns, raw, ("model", "gamma", "c1", "c2", "subset"),
                        (("icp", np.mean), ("mil", np.mean)))
 

@@ -19,6 +19,7 @@ from cqrnet.experiments import (
     run_t4,
     training_problem,
 )
+from cqrnet.metrics import interval_metrics
 from cqrnet.models import MirrorWrapper
 from cqrnet.training import TrainConfig
 
@@ -143,6 +144,37 @@ def test_t4_cell_grid_per_model(model, monkeypatch):
     with pytest.raises(Sentinel):
         experiments._t4_cell((0, 0.2, 0, model, trips))
     assert grids == [(0.01, 0.1, 1.0) if model == "c-lstm" else TrainConfig().lr_grid]
+
+
+def _recorded_interval_reports(monkeypatch):
+    """The (dataset, subset, lower, upper) of every interval report the harness makes."""
+    calls, report = [], experiments.metrics.subset_report
+    monkeypatch.setattr(experiments.metrics, "subset_report",
+                        lambda ds, subset, **kw: calls.append((ds, subset, kw["lower"], kw["upper"]))
+                        or report(ds, subset, **kw))
+    return calls
+
+
+def _crossed(ds, subset, lower, upper):
+    mask = np.ones(ds.n, dtype=bool) if subset == "all_test" else ~ds.censored
+    return interval_metrics(lower[mask], upper[mask], ds.y_star[mask])[2]
+
+
+def test_t4_raw_row_counts_crossed_intervals(monkeypatch):
+    """A Table 4 cell whose c-linear pair crosses on every test row (seed 2,
+    alpha 0.1) records that count after its score columns."""
+    calls = _recorded_interval_reports(monkeypatch)
+    row = experiments._t4_cell((2, 0.1, 0, "c-linear", datagen.bundled_trip_table(120, seed=2)))
+    assert len(calls) == 1 and row[:3] == ["c-linear", 0.1, 0]
+    assert row[5] == _crossed(*calls[0]) == calls[0][0].n == 37
+
+
+def test_bike_raw_rows_count_crossed_intervals(monkeypatch):
+    calls = _recorded_interval_reports(monkeypatch)
+    run = run_bike_protocol(master_seed=1, gammas=(0.3,), c_ranges=((0.34, 0.66),), replicates=1, n_inits=1,
+                            n_days=200)
+    assert run.columns[-1] == "n_crossed" and len(run.raw_rows) == len(calls) == 4
+    assert [row[-1] for row in run.raw_rows] == [_crossed(*call) for call in calls]
 
 
 def test_table_render_contains_verdicts():
