@@ -11,11 +11,16 @@ gets 10 pairs; pair i runs the parent first when i is even and the change first 
 records both sides' runs with their median and inclusive quartiles, the pairs the change wins and
 the gap between the medians over the parent's interquartile range.
 
-`--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; perfbench
-workloads then run only when `--workloads` is given too). Each table and seed gets 5 pairs,
-alternating in the same way, and the file records the wall time of each run, summarized as above,
-with the SHA-256 of the raw CSV, the rendered table and the verdicts each side wrote, and whether
-every run on both sides wrote the same bytes.
+`--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; `bike` runs
+at its defaults; perfbench workloads then run only when `--workloads` is given too). Each table and
+seed gets 5 pairs, alternating in the same way, and the file records the wall time of each run,
+summarized as above, with the SHA-256 of the raw CSV, the rendered table and the verdicts each side
+wrote, and whether every run on both sides wrote the same bytes.
+
+Every run, perfbench's and replicate's alike, gets CHILD_ENV: with PYTHONDONTWRITEBYTECODE set no run
+writes `.pyc` files, so both checkouts import cqrnet compiled from source every time and perfbench's
+`setup_s` compares the same work. Files already byte-compiled are still read, so start from fresh
+checkouts (`git archive`). The file records CHILD_ENV.
 
 The output file is rewritten after every pair, and entries of other workloads and seeds already in
 it are kept, so workloads can be run one invocation at a time. A run that exits nonzero stops the
@@ -37,7 +42,8 @@ import time
 SIDES = ("parent", "change")
 PAIRS = 10
 TABLE_PAIRS = 5
-TABLES = {"t4-synthetic": ("--jobs", "2")}
+TABLES = {"t4-synthetic": ("--jobs", "2"), "bike": ()}
+CHILD_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 TABLE_OUTPUTS = ("raw.csv", "table.txt", "verdicts.json")
 DEFINITIONS = {
     "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
@@ -51,7 +57,7 @@ def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
+        cwd=checkout, env=dict(os.environ, **CHILD_ENV), capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"perfbench in {checkout} ({workload}, seed {seed}) exited {proc.returncode}: "
@@ -67,7 +73,7 @@ def run_table(checkout, table, seed):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from cqrnet.cli import main; sys.exit(main())", "replicate",
              table, *TABLES[table], "--seed", str(seed), "--out-dir", out],
-            cwd=checkout, env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src")),
+            cwd=checkout, env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **CHILD_ENV),
             capture_output=True, text=True, check=False)
         wall = time.perf_counter() - start
         if proc.returncode not in (0, 1):
@@ -141,6 +147,7 @@ def main(argv=None):
                 "digests (`tables`), parent commit vs this change, in alternating pairs (the even pairs run "
                 "the parent first, the odd pairs the change first; `first` lists it per pair)",
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
+        "child_env": CHILD_ENV,
         **DEFINITIONS,
     })
     for key in ("parent_rev", "claim"):
@@ -184,7 +191,7 @@ def main(argv=None):
                 first.append(order[0])
                 if i >= 1:
                     doc.setdefault("tables", {}).setdefault(table, {})[f"seed_{seed}"] = {
-                        "command": f"cqrnet replicate {table} {' '.join(TABLES[table])} --seed {seed}",
+                        "command": " ".join(["cqrnet replicate", table, *TABLES[table], "--seed", str(seed)]),
                         "pairs": i + 1, "first": first, "metrics": summarize(walls, {"wall_s": specs["wall_s"]}),
                         "digests": {side: digests[side][0] for side in SIDES},
                         "outputs_identical": all(d == digests["parent"][0] for side in SIDES for d in digests[side])}

@@ -59,8 +59,13 @@ def test_main_runs_ten_alternating_pairs_at_the_benchmark_length(tmp_path, monke
     assert cell["metrics"]["wall_s"]["pair_wins"] == 10 and cell["metrics"]["epochs_per_s"]["pair_wins"] == 0
 
 
-@pytest.mark.parametrize("change_csv", ["same", "other"])
-def test_main_times_five_alternating_table_pairs_with_digests(tmp_path, monkeypatch, change_csv):
+@pytest.mark.parametrize("table, change_csv", [
+    pytest.param("t4-synthetic", "same", id="same"),
+    pytest.param("t4-synthetic", "other", id="other"),
+    pytest.param("bike", "same", id="bike-same"),
+    pytest.param("bike", "other", id="bike-other"),
+])
+def test_main_times_five_alternating_table_pairs_with_digests(tmp_path, monkeypatch, table, change_csv):
     """--tables alone runs no perfbench workload; each table and seed gets 5
     pairs that alternate which side runs first, with both sides' digests."""
     module = _bench_pairs()
@@ -78,14 +83,47 @@ def test_main_times_five_alternating_table_pairs_with_digests(tmp_path, monkeypa
     monkeypatch.setattr(module, "run_table", run_table)
     monkeypatch.setattr(module, "run_once", run_once)
     out = str(tmp_path / "bench.json")
-    module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tables", "t4-synthetic",
+    module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tables", table,
                  "--seeds", "9001"])
     with open(out) as fh:
         doc = json.load(fh)
-    cell = doc["tables"]["t4-synthetic"]["seed_9001"]
-    assert len(calls) == 10 and {call[1:] for call in calls} == {("t4-synthetic", 9001)}
+    cell = doc["tables"][table]["seed_9001"]
+    assert len(calls) == 10 and {call[1:] for call in calls} == {(table, 9001)}
+    assert cell["command"] == " ".join(["cqrnet replicate", table, *module.TABLES[table], "--seed 9001"])
     assert "workloads" not in doc or not doc["workloads"]
     assert cell["pairs"] == 5 and cell["first"] == ["parent", "change", "parent", "change", "parent"]
     assert cell["metrics"]["wall_s"]["pair_wins"] == 5 and len(cell["metrics"]["wall_s"]["parent"]["runs"]) == 5
     assert cell["digests"]["change"]["raw.csv"] == change_csv
     assert cell["outputs_identical"] == (change_csv == "same")
+
+
+def test_every_child_run_writes_no_bytecode(tmp_path, monkeypatch):
+    """perfbench and replicate runs both get PYTHONDONTWRITEBYTECODE=1 (and
+    replicate its checkout's src on PYTHONPATH), and the file records it."""
+    module = _bench_pairs()
+    envs = []
+
+    class Done:
+        returncode, stderr = 0, ""
+        stdout = json.dumps({"environment": {}}) + "\n" + json.dumps({"correct": True, "metrics": {}}) + "\n"
+
+    def run(cmd, cwd, env, **kwargs):
+        envs.append((cmd, env))
+        if "--out-dir" in cmd:  # replicate: write the outputs it names
+            out, table = cmd[cmd.index("--out-dir") + 1], cmd[cmd.index("replicate") + 1]
+            for name in module.TABLE_OUTPUTS:
+                with open(os.path.join(out, f"{table}-{name}"), "w") as fh:
+                    fh.write(name)
+        return Done()
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.run_once(ROOT, "synthetic-tables", 1, 1)[0]["correct"]
+    assert module.run_table(ROOT, "bike", 1)[1]["exit"] == 0
+    assert [env["PYTHONDONTWRITEBYTECODE"] for _, env in envs] == ["1", "1"]
+    assert envs[1][1]["PYTHONPATH"] == os.path.join(ROOT, "src")
+    assert envs[1][0][-6:] == ["replicate", "bike", "--seed", "1", "--out-dir", envs[1][0][-1]]
+    monkeypatch.setattr(module, "run_table", lambda checkout, table, seed: (1.0, {"exit": 0}))
+    out = str(tmp_path / "bench.json")
+    module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tables", "bike", "--seeds", "1"])
+    with open(out) as fh:
+        assert json.load(fh)["child_env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
