@@ -22,8 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, datagen, metrics
-from .experiments import (INTERVAL_PAIR, MODEL_NAMES, TABLES, _map_tasks, child_seed, fit_model, parse_model_name,
-                          reuse_fit, training_problem)
+from .experiments import INTERVAL_PAIR, MODEL_NAMES, TABLES, FitCell, child_seed, fit_cells, parse_model_name
 from .models import net_from_dict
 from .training import TrainConfig, impute_thresholds, train_mean_ratio
 
@@ -170,14 +169,6 @@ def _split_digest(test) -> str:
     return hashlib.sha256(test.X.tobytes() + test.y.tobytes()).hexdigest()
 
 
-def _fit_cell(task):
-    """One (model, theta) cell's fit; module-level so worker processes can run it."""
-    (model, theta, train, val, fit_seed, cfg_kwargs, use_grid, init_scheme, init_seed) = task
-    cfg = TrainConfig(seed=fit_seed, **cfg_kwargs)
-    return fit_model(model, train, val, cfg, theta, init_scheme=init_scheme, init_seed=init_seed,
-                     use_lr_grid=use_grid)
-
-
 def cmd_fit(args, parser):
     os.makedirs(args.out_dir, exist_ok=True)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -198,8 +189,7 @@ def cmd_fit(args, parser):
                   if getattr(args, k) is not None}
     use_grid = args.learning_rate is None
 
-    # every cell is checked before any is fitted, and each training problem is fitted once
-    cells, tasks, skipped = [], {}, 0
+    cells, skipped = [], 0
     for model in models:
         for theta in thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
@@ -211,44 +201,36 @@ def cmd_fit(args, parser):
                         f"than fit --seed {args.seed} holds out of {args.data}; refit it with --force")
                 skipped += 1
                 continue
-            fit_seed = child_seed(args.seed, "fit", model, theta)
-            init_seed = child_seed(args.seed, "fit", "init", model, theta)
-            try:
-                problem = training_problem(model, theta, train, val, args.init, init_seed)
-            except ValueError as exc:
-                raise ValueError(f"fit-{model}-theta{theta:g}: {exc}") from None
+            cfg = TrainConfig(seed=child_seed(args.seed, "fit", model, theta), **cfg_kwargs)
             # Tobit cells keep the fixed rate: the grid would fit each of them four times
-            tasks.setdefault(problem, (model, theta, train, val, fit_seed, cfg_kwargs,
-                                       use_grid and model != "tobit", args.init, init_seed))
-            cells.append((model, theta, fit_seed, problem))
+            cells.append(FitCell(model, train, val, cfg, theta, args.init,
+                                 child_seed(args.seed, "fit", "init", model, theta), use_grid and model != "tobit"))
 
-    outputs, fits = [], {}
-    results = _map_tasks(_fit_cell, list(tasks.values()), args.jobs)
-    for model, theta, fit_seed, problem in cells:
-        if problem in fits:
-            result = reuse_fit(fits[problem], model, theta, fit_seed)
-        else:  # a problem's first cell: its fit is the next one out
-            result = fits[problem] = next(results)
-        cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
+    # fit_cells checks every cell before fitting any, and fits each training problem once
+    outputs, sources = [], set()
+    for result, cell in zip(fit_cells(cells, args.jobs), cells):
+        # a repeated problem's result shares its source's traces, and fit_cells holds every source
+        sources.add(id(result.train_trace))
+        name = f"{cell.model}-theta{cell.theta:g}"
+        cell_path = os.path.join(args.out_dir, f"fit-{name}.json")
         _write_json(cell_path, {**result.to_json_dict(), **split_keys})
         outputs.append(cell_path)
         if result.diagnostics.get("clamp_share") == 1.0:
-            print(f"warning: fit-{model}-theta{theta:g}: every training row is clamped at its threshold at the fitted "
+            print(f"warning: fit-{name}: every training row is clamped at its threshold at the fitted "
                   "weights, where the censored NLL has no gradient (clamp_share 1.0); try --init standard_normal",
                   file=sys.stderr)
         if args.dump_traces:
-            trace_path = os.path.join(args.out_dir, f"trace-{model}-theta{theta:g}.csv")
+            trace_path = os.path.join(args.out_dir, f"trace-{name}.csv")
             rows = [[e, repr(tr), repr(va)] for e, (tr, va) in enumerate(zip(result.train_trace, result.val_trace))]
             _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
             outputs.append(trace_path)
-    results.close()  # the worker pool, if any, shuts down here
 
     config = {"data": args.data, "models": models, "thetas": thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
               "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
-              {"skipped_existing": skipped, "fitted": len(cells), "trained": len(tasks)})
-    print(f"fitted {len(cells)} cells ({len(tasks)} trained), skipped {skipped} existing; results in {args.out_dir}")
+              {"skipped_existing": skipped, "fitted": len(cells), "trained": len(sources)})
+    print(f"fitted {len(cells)} cells ({len(sources)} trained), skipped {skipped} existing; results in {args.out_dir}")
     return 0
 
 

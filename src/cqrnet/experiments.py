@@ -13,6 +13,7 @@ replication checks they are responsible for.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -46,6 +47,8 @@ __all__ = [
     "fit_model",
     "training_problem",
     "reuse_fit",
+    "FitCell",
+    "fit_cells",
     "TableRun",
     "run_t1",
     "run_t2",
@@ -162,11 +165,58 @@ def reuse_fit(result, model, theta, seed):
     return replace(result, net=MirrorWrapper(net) if mirrored else net, theta=theta, seed=seed)
 
 
-def _interval_fits(model, train, val, cfg, master_seed, *path):
-    """The fits of `model` at each level of INTERVAL_PAIR, over the lr grid,
+# one cell of a table or command: `fit_model`'s arguments, in its order and with its defaults
+FitCell = namedtuple("FitCell", "model train val cfg theta init_scheme init_seed use_lr_grid",
+                     defaults=("ones", None, False))
+
+
+def _fit_cell(cell):
+    """`fit_model` over one cell; module-level so worker processes can run it."""
+    return fit_model(*cell)
+
+
+def _map_tasks(fn, tasks, jobs):
+    """fn over tasks in order, in `jobs` worker processes when jobs > 1 and
+    there are several tasks; yields each result once it and those before it are done."""
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, tasks)
+    else:
+        yield from map(fn, tasks)
+
+
+def fit_cells(cells, jobs=1):
+    """Each FitCell's FitResult, in cell order. Every cell is checked by
+    `training_problem` before any fit runs (a refused one is a ValueError
+    naming fit-<model>-theta<theta>). Each problem, under its cell's config
+    but for the seed, is fitted once, in first-seen order, through
+    `_map_tasks` in `jobs` processes; its later cells get `reuse_fit` copies."""
+    cells, keys, firsts = list(cells), [], {}
+    for cell in cells:
+        try:
+            problem = training_problem(cell.model, cell.theta, cell.train, cell.val, cell.init_scheme, cell.init_seed)
+        except ValueError as exc:
+            raise ValueError(f"fit-{cell.model}-theta{cell.theta:g}: {exc}") from None
+        keys.append((problem, replace(cell.cfg, seed=0), cell.use_lr_grid))
+        firsts.setdefault(keys[-1], cell)
+    results, fits = _map_tasks(_fit_cell, list(firsts.values()), jobs), {}
+    try:
+        for cell, key in zip(cells, keys):
+            if key in fits:
+                yield reuse_fit(fits[key], cell.model, cell.theta, cell.cfg.seed)
+            else:  # a problem's first cell: its fit is the next one out
+                fits[key] = next(results)
+                yield fits[key]
+    finally:
+        results.close()  # the worker pool, if any, shuts down here
+
+
+def _interval_cells(model, train, val, cfg, master_seed, *path):
+    """The cells of `model` at each level of INTERVAL_PAIR, over the lr grid,
     each from N(0,1) weights seeded by the stage `path` and its theta."""
-    return [fit_model(model, train, val, cfg, theta, init_scheme="standard_normal",
-                      init_seed=child_seed(master_seed, *path, theta), use_lr_grid=True)
+    return [FitCell(model, train, val, cfg, theta, "standard_normal", child_seed(master_seed, *path, theta), True)
             for theta in INTERVAL_PAIR]
 
 
@@ -291,21 +341,15 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
             train, val, test = datagen.split(
                 ds, seed=child_seed(master_seed, "t2", noise, "split", rep)
             )
-            for theta in THETA_GRID:
-                # with degenerate noise every latent quantile is the mean itself
-                truth = (test.X.sum(axis=1) if zero_noise
-                         else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True))
-                fits = {}  # training problem -> the fit of its first cell
-                for model in T2_MODELS:
-                    problem = training_problem(model, theta, train, val)
-                    if problem in fits:
-                        result = reuse_fit(fits[problem], model, theta, cfg.seed)
-                    else:
-                        result = fits[problem] = fit_model(model, train, val, cfg, theta)
-                    preds = result.predict(test.X)
-                    for subset in metrics.SUBSETS:
-                        rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truth)
-                        raw.append([noise, theta, model, subset, rep, repr(rp.r2), repr(rp.mae), repr(rp.rmse)])
+            # with degenerate noise every latent quantile is the mean itself
+            truths = {theta: test.X.sum(axis=1) if zero_noise
+                      else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True) for theta in THETA_GRID}
+            split_cells = [FitCell(model, train, val, cfg, theta) for theta in THETA_GRID for model in T2_MODELS]
+            for result, cell in zip(fit_cells(split_cells), split_cells):
+                preds = result.predict(test.X)
+                for subset in metrics.SUBSETS:
+                    rp = metrics.subset_report(test, subset, preds=preds, true_quantiles=truths[cell.theta])
+                    raw.append([noise, cell.theta, cell.model, subset, rep, repr(rp.r2), repr(rp.mae), repr(rp.rmse)])
     cells = _aggregate(columns, raw, ("theta", "model", "subset", "noise"),
                        (("r2", np.mean), ("mae", np.mean), ("rmse", np.mean)))
 
@@ -396,11 +440,10 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
             train, val, test = datagen.split(
                 ds, seed=child_seed(master_seed, "t3", noise, "split", rep)
             )
-            tob_net = fit_model("tobit", train, val, cfg, None).net
-            tob_lo, tob_hi = (tob_net.quantile(test.X, theta) for theta in INTERVAL_PAIR)
-            cqr_lo = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[0]).predict(test.X)
-            cqr_hi = fit_model("c-linear", train, val, cfg, INTERVAL_PAIR[1]).predict(test.X)
-            for model, (lo, hi) in (("tobit", (tob_lo, tob_hi)), ("c-linear", (cqr_lo, cqr_hi))):
+            # the Tobit cells pose one problem, so its one fit gives both ends of its interval
+            ends = [result.predict(test.X) for result in fit_cells(
+                FitCell(model, train, val, cfg, theta) for model in ("tobit", "c-linear") for theta in INTERVAL_PAIR)]
+            for model, lo, hi in (("tobit", *ends[:2]), ("c-linear", *ends[2:])):
                 for subset in metrics.SUBSETS:
                     rp = metrics.subset_report(test, subset, lower=lo, upper=hi)
                     raw.append([noise, model, subset, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed])
@@ -475,21 +518,9 @@ def _t4_cell(task):
     ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
     train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
     lo, hi = (result.predict(test.X) for result in
-              _interval_fits(model, train, val, cfg, master_seed, "t4", "init", alpha, rep, model))
+              fit_cells(_interval_cells(model, train, val, cfg, master_seed, "t4", "init", alpha, rep, model)))
     rp = metrics.subset_report(test, "all_test", lower=lo, upper=hi)
     return [model, alpha, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed]
-
-
-def _map_tasks(fn, tasks, jobs):
-    """fn over tasks in order, in `jobs` worker processes when jobs > 1 and
-    there are several tasks; yields each result once it and those before it are done."""
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, tasks)
-    else:
-        yield from map(fn, tasks)
 
 
 def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
@@ -575,8 +606,9 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                 train, val, test = (ds.subset(part[part >= LAGS] - LAGS) for part in thirds)
                 train_mean = float(np.mean(train.y))
                 for model in models:
-                    pairs = [_interval_fits(model, train, val, cfg, master_seed,
-                                            "bike", "init", gamma, cr, rep, model, i) for i in range(n_inits)]
+                    results = list(fit_cells(cell for i in range(n_inits) for cell in _interval_cells(
+                        model, train, val, cfg, master_seed, "bike", "init", gamma, cr, rep, model, i)))
+                    pairs = list(zip(results[::2], results[1::2]))
                     scores = [metrics.interval_metrics(lo.predict(val.X), hi.predict(val.X), val.y_star)[:2]
                               for lo, hi in pairs]
                     index, fallback = select_initialization(scores, train_mean)

@@ -145,7 +145,7 @@ def _written_fits(out):
 
 
 def test_fit_trains_each_problem_once_and_writes_what_fitting_every_cell_writes(tmp_path, monkeypatch):
-    import cqrnet.cli as cli
+    import cqrnet.experiments as experiments
 
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "heteroskedastic", "--n", 300, "--seed", 2, "--out-dir", data_dir]) == 0
@@ -158,7 +158,7 @@ def test_fit_trains_each_problem_once_and_writes_what_fitting_every_cell_writes(
         return _written_fits(tmp_path / name), manifest["stats"], [os.path.basename(p) for p in manifest["outputs"]]
 
     with monkeypatch.context() as patched:  # every cell its own problem: each one is fitted
-        patched.setattr(cli, "training_problem", lambda model, theta, *args: (model, theta))
+        patched.setattr(experiments, "training_problem", lambda model, theta, *args: (model, theta))
         want, stats, outputs = fit_dir("every-cell", "c-linear,c-elu,tobit")
     assert stats == {"skipped_existing": 0, "fitted": 6, "trained": 6}
     once = {"skipped_existing": 0, "fitted": 6, "trained": 3}

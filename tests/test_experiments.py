@@ -8,7 +8,9 @@ import pytest
 
 from cqrnet import datagen, experiments
 from cqrnet.experiments import (
+    FitCell,
     child_seed,
+    fit_cells,
     fit_model,
     parse_model_name,
     reuse_fit,
@@ -98,6 +100,27 @@ def test_training_problem_tells_distinct_fits_apart():
     with pytest.raises(ValueError, match="unimputed"):
         nan_tau = datagen.CensoredDataset(train.X, train.y, np.full(train.n, np.nan), train.censored, "left")
         training_problem("c-linear", 0.5, nan_tau, val)
+
+
+def test_fit_cells_fits_each_problem_of_a_table_2_split_once(monkeypatch):
+    """One split's nine Table 2 cells pose six problems (c-elu repeats c-linear
+    at every level): fit_cells fits each once, in first-seen order; every
+    cell's result is its own fit_model result to the bit; two worker
+    processes give the same results."""
+    ds = datagen.gen_synthetic(datagen.SyntheticSpec("heteroskedastic", 300, child_seed(3, "t2", "data")))
+    train, val, _ = datagen.split(ds, seed=child_seed(3, "t2", "split"))
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=300)
+    cells = [FitCell(model, train, val, cfg, theta) for theta in experiments.THETA_GRID
+             for model in experiments.T2_MODELS]
+    calls = []
+    with monkeypatch.context() as patched:
+        patched.setattr(experiments, "fit_model", lambda *cell: calls.append((cell[0], cell[4])) or fit_model(*cell))
+        results = list(fit_cells(cells))
+    assert calls == [(model, theta) for theta in experiments.THETA_GRID for model in ("tl-linear", "c-linear")]
+    for cell, result in zip(cells, results, strict=True):
+        _bit_equal_fits(result, fit_model(*cell))
+    for got, want in zip(fit_cells(cells, jobs=2), results, strict=True):
+        _bit_equal_fits(got, want)
 
 
 def test_t1_cells_match_analytic_values():
