@@ -170,7 +170,6 @@ def _split_digest(test) -> str:
 
 
 def cmd_fit(args, parser):
-    os.makedirs(args.out_dir, exist_ok=True)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     unknown = []
     for m in models:
@@ -181,6 +180,10 @@ def cmd_fit(args, parser):
     if unknown:
         parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)} or c-stacked-<act>-<units>)")
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
+    for flag, names in (("--models", models), ("--thetas", [f"{t:g}" for t in thetas])):  # as in the file names
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if not names or repeated:
+            parser.error(f"{flag} repeats {', '.join(repeated)}" if repeated else f"{flag} names no entry")
     ds, _ = _load_dataset_with_manifest(args.data)
     train, val, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
     split_keys = {"master_seed": args.seed, "test_split_sha256": _split_digest(test)}
@@ -189,6 +192,7 @@ def cmd_fit(args, parser):
                   if getattr(args, k) is not None}
     use_grid = args.learning_rate is None
 
+    os.makedirs(args.out_dir, exist_ok=True)
     cells, skipped = [], 0
     for model in models:
         for theta in thetas:
@@ -425,13 +429,15 @@ def _config_tokens(path, parser, subparser):
         parser.error(f"unknown config keys: {unknown}")
     tokens = []
     for key, value in file_cfg.items():
-        flag = flags[key].option_strings[-1]
-        if flags[key].nargs != 0:
+        flag, switch = flags[key].option_strings[-1], flags[key].nargs == 0
+        # a switch takes a boolean, another flag a string or a number: a list, an object or null is neither
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            parser.error(f"{path}: config key {key!r} takes {'true or false' if switch else 'a string or a number'}, "
+                         f"got {value!r}")
+        if not switch:
             tokens.append(f"{flag}={value}")
-        elif value is True:
+        elif value:
             tokens.append(flag)
-        elif value is not False:
-            parser.error(f"config key {key!r} takes true or false, got {value!r}")
     return tokens
 
 

@@ -186,6 +186,27 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--thetas", "", "--thetas names no entry"),
+    ("--models", " , ", "--models names no entry"),
+    ("--thetas", "0.5,0.50", "--thetas repeats 0.5"),
+    ("--models", "c-linear,tl-linear,c-linear", "--models repeats c-linear"),
+], ids=["no-theta", "no-model", "theta-twice", "model-twice"])
+def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, flag, value, message):
+    """A selection of no cell, or one naming a cell twice (so writing its file
+    twice), is a usage error naming the flag and the repeat; nothing is written."""
+    data_dir = tmp_path / "data"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
+    capsys.readouterr()
+    selection = {"--models": "c-linear", "--thetas": "0.5", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--data", data_dir / "synthetic-standard_gaussian.csv", *(a for kv in selection.items() for a in kv),
+             "--out-dir", tmp_path / "fits"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fits").exists()
+
+
 def test_fit_warns_of_a_cell_whose_training_rows_all_sit_at_the_clamp(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert run(["generate", "--censor", "partial", "--gamma", 0.3, "--c1", 0.34, "--c2", 0.66, "--n-days", 150,
@@ -507,19 +528,30 @@ def test_replicate_bike_runs_the_registered_protocol(tmp_path, monkeypatch):
     assert manifest["outputs"] == [str(out / f"bike-{s}") for s in ("raw.csv", "table.txt", "verdicts.json")]
 
 
-def test_config_values_parse_like_flags(tmp_path):
+def test_config_values_parse_like_flags(tmp_path, capsys):
     """A --config value goes through its flag's type and choices: "300"
-    is the integer 300, and a value the flag would refuse exits 2."""
+    is the integer 300, and a value the flag would refuse exits 2. A value
+    that is no flag text (a list, an object, null, or a boolean for a flag
+    that takes a value) exits 2 naming the file and the key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "300", "synthetic": "standard_gaussian"}))
     out = tmp_path / "ok"
     assert run(["generate", "--config", cfg, "--seed", 1, "--out-dir", out]) == 0
     assert read_manifest(out / "generate-manifest.json")["config"]["n"] == 300
-    for bad in ({"n": "abc"}, {"n": 1.5}, {"synthetic": "cauchy"}, {"zero_noise": "yes"}, {"config": "x.json"}):
+    not_text = ({"out_dir": ["runs", "a"]}, {"n": [300]}, {"gamma": {"value": 0.3}}, {"n": None}, {"input": True},
+                {"zero_noise": None}, {"zero_noise": "yes"})
+    for bad in ({"n": "abc"}, {"n": 1.5}, {"synthetic": "cauchy"}, {"config": "x.json"}, *not_text):
         cfg.write_text(json.dumps({"synthetic": "standard_gaussian", **bad}))
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--config", cfg, "--out-dir", tmp_path / "bad"])
         assert exc.value.code == 2, bad
+        if bad in not_text:
+            assert f"{cfg}: config key {next(iter(bad))!r}" in capsys.readouterr().err, bad
+    cfg.write_text(json.dumps({"thetas": [0.05, 0.95]}))
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--data", "x.csv", "--config", cfg, "--out-dir", tmp_path / "bad"])
+    assert exc.value.code == 2 and f"{cfg}: config key 'thetas'" in capsys.readouterr().err
     # positionals and required flags stay on the command line
     for argv, key in ((["replicate", "t2"], "table"), (["fit", "--data", "x.csv"], "data")):
         cfg.write_text(json.dumps({key: "t1"}))
@@ -722,3 +754,4 @@ def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, comman
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert str(target) in err and "Traceback" not in err
+
