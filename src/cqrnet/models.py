@@ -239,18 +239,21 @@ class RegularizedLinearNet(LinearQuantileNet):
     def forward_train(self, X, rng=None, n_train=None, dropout_mask=None):
         X = self._check(X)
         n = X.shape[0] if n_train is None else n_train
-        if dropout_mask is None and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training forward with dropout needs an rng or an explicit mask")
-            keep = rng.random((n, self.dim - 1)) >= self.dropout_rate
-            dropout_mask = keep / (1.0 - self.dropout_rate)
-        if dropout_mask is not None:
-            # one copy per (X, n), its training inputs rewritten: `_pass` keeps its row blocks
-            if self._dropped is None or self._dropped[0] is not X or self._dropped[1] != n:
-                self._dropped = (X, n, X.copy())
-            np.multiply(X[:n, 1:], dropout_mask, out=self._dropped[2][:n, 1:])
-            X = self._dropped[2]
-        return self._pass(X, n)
+        if dropout_mask is None and self.dropout_rate == 0.0:
+            return self._pass(X, n)
+        if dropout_mask is None and rng is None:
+            raise ValueError("training forward with dropout needs an rng or an explicit mask")
+        # kept per (X, n): a copy of X whose training inputs are rewritten (`_pass` keeps its row
+        # blocks), and the uniform draw, the kept inputs and the mask, each drawn into in place
+        if self._dropped is None or self._dropped[0] is not X or self._dropped[1] != n:
+            shape = (n, self.dim - 1)
+            self._dropped = (X, n, X.copy(), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape))
+        _, _, dropped, draw, keep, mask = self._dropped
+        if dropout_mask is None:
+            np.greater_equal(rng.random(out=draw), self.dropout_rate, out=keep)
+            dropout_mask = np.divide(keep, 1.0 - self.dropout_rate, out=mask)
+        np.multiply(X[:n, 1:], dropout_mask, out=dropped[:n, 1:])
+        return self._pass(dropped, n)
 
     def copy(self):
         dup = super().copy()

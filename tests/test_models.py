@@ -307,6 +307,27 @@ def test_dropout_training_passes_reuse_their_row_blocks():
     assert np.array_equal(X, X_before)
 
 
+def test_dropout_masks_are_drawn_into_kept_buffers():
+    """Fifty seeded training passes drop out exactly what the formula
+    (rng.random((n, d - 1)) >= rate) / (1 - rate) drops, to the bit, leave
+    the generator where the formula leaves it, and draw into one set of buffers."""
+    net = init_weights(RegularizedLinearNet(8, dropout_rate=0.2), "standard_normal", seed=3)
+    X = np.column_stack([np.ones(620), np.random.default_rng(4).normal(size=(620, 7))])
+    ours, formula = np.random.default_rng(5), np.random.default_rng(5)
+    net.forward_train(X, ours, 500)
+    kept = net._dropped
+    formula.random((500, 7))
+    for _ in range(50):
+        net.forward_train(X, ours, 500)
+        mask = (formula.random((500, 7)) >= 0.2) / (1.0 - 0.2)
+        assert all(a is b for a, b in zip(net._dropped, kept))
+        assert kept[5].tobytes() == mask.tobytes()
+        assert kept[2][:500, 1:].tobytes() == (X[:500, 1:] * mask).tobytes()
+        assert np.array_equal(kept[2][:, 0], X[:, 0]) and np.array_equal(kept[2][500:], X[500:])
+    assert ours.bit_generator.state == formula.bit_generator.state
+    assert net.copy()._dropped is None
+
+
 def test_dropout_requires_rng_or_mask():
     net = RegularizedLinearNet(3, dropout_rate=0.2)
     with pytest.raises(ValueError):
