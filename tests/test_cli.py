@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqrnet.cli import main
 
@@ -755,3 +758,60 @@ def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, comman
     err = capsys.readouterr().err
     assert str(target) in err and "Traceback" not in err
 
+
+@pytest.fixture(scope="module")
+def generated_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("generated")
+    assert run(["generate", "--synthetic", "heteroskedastic", "--n", 60, "--seed", 4, "--out-dir", out]) == 0
+    return out
+
+
+FIELD_TEXT = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e308", "-1e308", "0", "1", "2", "-0.0", "5e-324", "0x1p3", " 1"]),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+ROW_EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "drop", "add", "delete", "repeat"]),
+                               st.integers(0, 10**6), FIELD_TEXT), min_size=1, max_size=4)
+
+
+def _exit_status(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=30, deadline=None)
+@given(edits=ROW_EDITS)
+def test_fit_and_evaluate_exit_0_or_2_on_mutated_dataset_rows(generated_dir, edits):
+    """Rows of a generated dataset CSV edited inside an otherwise valid run
+    directory (a field set to any text, dropped or added, a row deleted or
+    repeated): `fit` and then `evaluate` each exit 0 or 2, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = os.path.join(tmp, "data")
+        shutil.copytree(generated_dir, data_dir)
+        data = os.path.join(data_dir, "synthetic-heteroskedastic.csv")
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for at, edit, field, text in edits:
+            if not rows:
+                break
+            i = at % len(rows)
+            row = rows[i]
+            if edit == "delete":
+                del rows[i]
+            elif edit == "repeat":
+                rows.insert(i, list(row))
+            elif edit == "add":
+                row.insert(field % (len(row) + 1), text)
+            elif edit == "set" and row:
+                row[field % len(row)] = text
+            elif row:
+                del row[field % len(row)]
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        fits = os.path.join(tmp, "fits")
+        assert _exit_status(["fit", "--data", data, "--models", "c-linear", "--thetas", "0.05,0.95",
+                             "--learning-rate", 0.01, "--max-epochs", 20, "--out-dir", fits]) in (0, 2)
+        assert _exit_status(["evaluate", "--data", data, "--fits", fits, "--out-dir", os.path.join(tmp, "eval")]) in (0, 2)
