@@ -4,6 +4,7 @@
         --workloads synthetic-tables --seeds 1 9001 --out BENCH_15.json
     python3 scripts/bench_pairs.py --parent ../parent --change . --tables t4-synthetic \
         --seeds 0 1 9001 --out BENCH_16.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --tier1 --out BENCH_21.json
 
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its checkout,
 N being BENCHMARK.json's run_seconds; the last line it prints is the result. Each workload and seed
@@ -11,11 +12,15 @@ gets 10 pairs; pair i runs the parent first when i is even and the change first 
 records both sides' runs with their median and inclusive quartiles, the pairs the change wins and
 the gap between the medians over the parent's interquartile range.
 
-`--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; `bike` runs
-at its defaults; perfbench workloads then run only when `--workloads` is given too). Each table and
-seed gets 5 pairs, alternating in the same way, and the file records the wall time of each run,
-summarized as above, with the SHA-256 of the raw CSV, the rendered table and the verdicts each side
-wrote, and whether every run on both sides wrote the same bytes.
+`--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; `t2`, `t3` and
+`bike` run at their defaults; perfbench workloads then run only when `--workloads` is given too).
+Each table and seed gets 5 pairs, alternating in the same way, and the file records the wall time of
+each run, summarized as above, with the SHA-256 of the raw CSV, the rendered table and the verdicts
+each side wrote, and whether every run on both sides wrote the same bytes.
+
+`--tier1` times the Tier-1 suite (TIER1_COMMAND, with the checkout's `src` on PYTHONPATH) in both
+checkouts in 5 alternating pairs, and records per run its wall time, exit status and the passed,
+failed, xfailed and error counts of pytest's summary line, so a time comes with the tests' verdicts.
 
 Every run, perfbench's and replicate's alike, gets CHILD_ENV: with PYTHONDONTWRITEBYTECODE set no run
 writes `.pyc` files, so both checkouts import cqrnet compiled from source every time and perfbench's
@@ -33,6 +38,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -42,7 +48,9 @@ import time
 SIDES = ("parent", "change")
 PAIRS = 10
 TABLE_PAIRS = 5
-TABLES = {"t4-synthetic": ("--jobs", "2"), "bike": ()}
+TABLES = {"t2": (), "t3": (), "t4-synthetic": ("--jobs", "2"), "bike": ()}
+TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COUNTS = ("passed", "failed", "xfailed", "error")
 CHILD_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 TABLE_OUTPUTS = ("raw.csv", "table.txt", "verdicts.json")
 DEFINITIONS = {
@@ -84,6 +92,37 @@ def run_table(checkout, table, seed):
             with open(os.path.join(out, f"{table}-{name}"), "rb") as fh:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return wall, digests
+
+
+def run_tier1(checkout):
+    """One Tier-1 run in `checkout`: (wall seconds, {"exit": status, count: n for each of
+    TIER1_COUNTS}), the counts read from pytest's last line (0 where it names none)."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=checkout,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **CHILD_ENV),
+                          capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {kind: sum(int(n) for n in re.findall(rf"(\d+) {kind}s?\b", summary)) for kind in TIER1_COUNTS}
+    return wall, {"exit": proc.returncode, **counts}
+
+
+def alternating_pairs(args, run, label):
+    """TABLE_PAIRS pairs of `run(checkout) -> (wall, outputs)` on both sides, the even pairs running
+    the parent first; from the second pair on, yields (pairs, first, walls, outputs) after each."""
+    walls = {side: {"wall_s": []} for side in SIDES}
+    outputs = {side: [] for side in SIDES}
+    first = []
+    for i in range(TABLE_PAIRS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            wall, out = run(getattr(args, side))
+            walls[side]["wall_s"].append(wall)
+            outputs[side].append(out)
+            print(f"{label} pair {i} {side}: wall_s={wall:.4g}", file=sys.stderr)
+        first.append(order[0])
+        if i >= 1:
+            yield i + 1, first, walls, outputs
 
 
 def side_stats(runs):
@@ -129,6 +168,7 @@ def main(argv=None):
                         help="default: every workload of BENCHMARK.json, or none when --tables is given")
     parser.add_argument("--tables", nargs="+", choices=sorted(TABLES), default=[],
                         help="replicate tables to time")
+    parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 9001])
     parser.add_argument("--claim", help="the claimed gain, recorded in the file")
     args = parser.parse_args(argv)
@@ -136,16 +176,17 @@ def main(argv=None):
         bench = json.load(fh)
     specs = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    workloads = args.workloads or ([] if args.tables else [w["name"] for w in bench["workloads"]])
+    workloads = args.workloads or ([] if args.tables or args.tier1 else [w["name"] for w in bench["workloads"]])
 
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     doc.update({
-        "what": "perfbench end-to-end metrics (`workloads`) and `cqrnet replicate` wall times with output "
-                "digests (`tables`), parent commit vs this change, in alternating pairs (the even pairs run "
-                "the parent first, the odd pairs the change first; `first` lists it per pair)",
+        "what": "perfbench end-to-end metrics (`workloads`), `cqrnet replicate` wall times with output "
+                "digests (`tables`) and Tier-1 wall times with test counts (`tier1`), parent commit vs this "
+                "change, in alternating pairs (the even pairs run the parent first, the odd pairs the change "
+                "first; `first` lists it per pair)",
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         "child_env": CHILD_ENV,
         **DEFINITIONS,
@@ -178,24 +219,22 @@ def main(argv=None):
 
     for table in args.tables:
         for seed in args.seeds:
-            walls = {side: {"wall_s": []} for side in SIDES}
-            digests = {side: [] for side in SIDES}
-            first = []
-            for i in range(TABLE_PAIRS):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    wall, outputs = run_table(getattr(args, side), table, seed)
-                    walls[side]["wall_s"].append(wall)
-                    digests[side].append(outputs)
-                    print(f"{table} seed {seed} pair {i} {side}: wall_s={wall:.4g}", file=sys.stderr)
-                first.append(order[0])
-                if i >= 1:
-                    doc.setdefault("tables", {}).setdefault(table, {})[f"seed_{seed}"] = {
-                        "command": " ".join(["cqrnet replicate", table, *TABLES[table], "--seed", str(seed)]),
-                        "pairs": i + 1, "first": first, "metrics": summarize(walls, {"wall_s": specs["wall_s"]}),
-                        "digests": {side: digests[side][0] for side in SIDES},
-                        "outputs_identical": all(d == digests["parent"][0] for side in SIDES for d in digests[side])}
-                    _write(args.out, doc)
+            for pairs, first, walls, digests in alternating_pairs(
+                    args, lambda checkout: run_table(checkout, table, seed), f"{table} seed {seed}"):
+                doc.setdefault("tables", {}).setdefault(table, {})[f"seed_{seed}"] = {
+                    "command": " ".join(["cqrnet replicate", table, *TABLES[table], "--seed", str(seed)]),
+                    "pairs": pairs, "first": first, "metrics": summarize(walls, {"wall_s": specs["wall_s"]}),
+                    "digests": {side: digests[side][0] for side in SIDES},
+                    "outputs_identical": all(d == digests["parent"][0] for side in SIDES for d in digests[side])}
+                _write(args.out, doc)
+
+    if args.tier1:
+        for pairs, first, walls, runs in alternating_pairs(args, run_tier1, "tier-1"):
+            doc["tier1"] = {
+                "command": "PYTHONPATH=src python3 " + " ".join(TIER1_COMMAND), "pairs": pairs, "first": first,
+                "metrics": summarize(walls, {"wall_s": specs["wall_s"]}), "runs": runs,
+                "verdicts_steady": {side: all(r == runs[side][0] for r in runs[side]) for side in SIDES}}
+            _write(args.out, doc)
     return 0
 
 

@@ -64,6 +64,8 @@ def test_main_runs_ten_alternating_pairs_at_the_benchmark_length(tmp_path, monke
     pytest.param("t4-synthetic", "other", id="other"),
     pytest.param("bike", "same", id="bike-same"),
     pytest.param("bike", "other", id="bike-other"),
+    pytest.param("t2", "same", id="t2-same"),
+    pytest.param("t3", "other", id="t3-other"),
 ])
 def test_main_times_five_alternating_table_pairs_with_digests(tmp_path, monkeypatch, table, change_csv):
     """--tables alone runs no perfbench workload; each table and seed gets 5
@@ -127,3 +129,45 @@ def test_every_child_run_writes_no_bytecode(tmp_path, monkeypatch):
     module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tables", "bike", "--seeds", "1"])
     with open(out) as fh:
         assert json.load(fh)["child_env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_main_times_five_alternating_tier1_pairs_with_counts(tmp_path, monkeypatch):
+    """--tier1 alone runs no perfbench workload and no table: the Tier-1
+    command runs in both checkouts in 5 alternating pairs, each with its
+    checkout's src on PYTHONPATH and no bytecode written, and the file
+    records per run the exit status and the counts of pytest's summary line."""
+    module = _bench_pairs()
+    calls = []
+    summaries = {str(tmp_path): "380 passed, 2 xfailed in 90.01s (0:01:30)",
+                 ROOT: "1 failed, 381 passed, 2 xfailed, 1 error in 80.50s (0:01:20)"}
+
+    class Done:
+        def __init__(self, checkout):
+            self.returncode = 0 if checkout == str(tmp_path) else 1
+            self.stdout, self.stderr = "....\n" + summaries[checkout] + "\n", ""
+
+    def run(cmd, cwd, env, **kwargs):
+        calls.append(cwd)
+        assert cmd[1:] == list(module.TIER1_COMMAND)
+        assert env["PYTHONPATH"] == os.path.join(cwd, "src") and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        return Done(cwd)
+
+    def never(*args):
+        raise AssertionError("no perfbench or replicate run expected")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setattr(module, "run_once", never)
+    monkeypatch.setattr(module, "run_table", never)
+    out = str(tmp_path / "bench.json")
+    module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out, "--tier1"])
+    with open(out) as fh:
+        doc = json.load(fh)
+    assert calls == [str(tmp_path), ROOT, ROOT, str(tmp_path)] * 2 + [str(tmp_path), ROOT]
+    cell = doc["tier1"]
+    assert "workloads" not in doc or not doc["workloads"]
+    assert cell["pairs"] == 5 and cell["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert cell["command"] == "PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors"
+    assert cell["runs"]["parent"] == [{"exit": 0, "passed": 380, "failed": 0, "xfailed": 2, "error": 0}] * 5
+    assert cell["runs"]["change"] == [{"exit": 1, "passed": 381, "failed": 1, "xfailed": 2, "error": 1}] * 5
+    assert cell["verdicts_steady"] == {"parent": True, "change": True}
+    assert len(cell["metrics"]["wall_s"]["change"]["runs"]) == 5
