@@ -211,10 +211,10 @@ def cmd_fit(args, parser):
                                  child_seed(args.seed, "fit", "init", model, theta), use_grid and model != "tobit"))
 
     # fit_cells checks every cell before fitting any, and fits each training problem once
-    outputs, sources = [], set()
+    outputs, traces = [], {}
     for result, cell in zip(fit_cells(cells, args.jobs), cells):
-        # a repeated problem's result shares its source's traces, and fit_cells holds every source
-        sources.add(id(result.train_trace))
+        # a repeated problem's result shares its source's traces; holding each keeps its id unique
+        traces.setdefault(id(result.train_trace), result.train_trace)
         name = f"{cell.model}-theta{cell.theta:g}"
         cell_path = os.path.join(args.out_dir, f"fit-{name}.json")
         _write_json(cell_path, {**result.to_json_dict(), **split_keys})
@@ -233,8 +233,8 @@ def cmd_fit(args, parser):
               "learning_rate": args.learning_rate, "patience": args.patience,
               "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
-              {"skipped_existing": skipped, "fitted": len(cells), "trained": len(sources)})
-    print(f"fitted {len(cells)} cells ({len(sources)} trained), skipped {skipped} existing; results in {args.out_dir}")
+              {"skipped_existing": skipped, "fitted": len(cells), "trained": len(traces)})
+    print(f"fitted {len(cells)} cells ({len(traces)} trained), skipped {skipped} existing; results in {args.out_dir}")
     return 0
 
 

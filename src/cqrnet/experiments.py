@@ -175,24 +175,13 @@ def _fit_cell(cell):
     return fit_model(*cell)
 
 
-def _map_tasks(fn, tasks, jobs):
-    """fn over tasks in order, in `jobs` worker processes when jobs > 1 and
-    there are several tasks; yields each result once it and those before it are done."""
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, tasks)
-    else:
-        yield from map(fn, tasks)
-
-
 def fit_cells(cells, jobs=1):
     """Each FitCell's FitResult, in cell order. Every cell is checked by
     `training_problem` before any fit runs (a refused one is a ValueError
     naming fit-<model>-theta<theta>). Each problem, under its cell's config
-    but for the seed, is fitted once, in first-seen order, through
-    `_map_tasks` in `jobs` processes; its later cells get `reuse_fit` copies."""
+    but for the seed, is fitted once, in first-seen order, in `jobs` worker
+    processes when jobs > 1; its later cells get `reuse_fit` copies. A fit
+    is held only until the last cell of its problem is yielded."""
     cells, keys, firsts = list(cells), [], {}
     for cell in cells:
         try:
@@ -201,16 +190,26 @@ def fit_cells(cells, jobs=1):
             raise ValueError(f"fit-{cell.model}-theta{cell.theta:g}: {exc}") from None
         keys.append((problem, replace(cell.cfg, seed=0), cell.use_lr_grid))
         firsts.setdefault(keys[-1], cell)
-    results, fits = _map_tasks(_fit_cell, list(firsts.values()), jobs), {}
+    last = {key: i for i, key in enumerate(keys)}
+    tasks, pool = list(firsts.values()), None
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    results, fits = (pool.map if pool else map)(_fit_cell, tasks), {}
     try:
-        for cell, key in zip(cells, keys):
+        for i, (cell, key) in enumerate(zip(cells, keys)):
             if key in fits:
-                yield reuse_fit(fits[key], cell.model, cell.theta, cell.cfg.seed)
+                result = reuse_fit(fits[key], cell.model, cell.theta, cell.cfg.seed)
             else:  # a problem's first cell: its fit is the next one out
-                fits[key] = next(results)
-                yield fits[key]
+                result = fits[key] = next(results)
+            if last[key] == i:
+                del fits[key]
+            yield result
+            del result  # before the next fit runs, so that a fit the consumer dropped is freed
     finally:
-        results.close()  # the worker pool, if any, shuts down here
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def _interval_cells(model, train, val, cfg, master_seed, *path):
@@ -494,8 +493,14 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
 T4_MODELS = ("tl-linear", "c-linear", "c-reg-linear", "c-lstm")
 
 
-def _t4_cell(task):
-    """The raw row of one (alpha, replicate, model) fleet cell; module-level for pools.
+def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
+           n_days=730, models=T4_MODELS, jobs=1) -> TableRun:
+    """Complete fleet censorship on the synthetic trip table (directional).
+
+    The underlying data is a synthetic stand-in, so this reproduces the
+    layout and the directional findings only: censorship-aware models
+    beat the unaware one on ICP distance, and every model deteriorates
+    as the removed fleet fraction grows.
 
     Training thresholds are a loose multiple (2x) of the latent scale
     y / (1 - alpha) implied by the scheme's own approximation. With
@@ -508,35 +513,29 @@ def _t4_cell(task):
     available against runaway predictions while letting the fits anchor
     stably to the observed data's quantiles.
     """
-    master_seed, alpha, rep, model, trips = task
+    trips = datagen.bundled_trip_table(n_days, seed=child_seed(master_seed, "t4", "trips"))
     # Finite budget: the sub-0.1 rates crawl from the N(0,1) init; 1500 epochs is past
     # convergence for the rates that win. The LSTM's 0.001 hits that cap and never wins
     # its grid (0.01 sometimes does), so it is left out (README, decisions ledger).
-    cfg = TrainConfig(max_epochs=1500, lr_grid=(0.01, 0.1, 1.0) if model == "c-lstm" else TrainConfig.lr_grid)
-    cs = datagen.censor_fleet(trips, alpha, seed=child_seed(master_seed, "t4", "censor", alpha, rep))
-    ds = datagen.build_lagged_dataset(cs, LAGS)
-    ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
-    train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
-    lo, hi = (result.predict(test.X) for result in
-              fit_cells(_interval_cells(model, train, val, cfg, master_seed, "t4", "init", alpha, rep, model)))
-    rp = metrics.subset_report(test, "all_test", lower=lo, upper=hi)
-    return [model, alpha, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed]
-
-
-def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
-           n_days=730, models=T4_MODELS, jobs=1) -> TableRun:
-    """Complete fleet censorship on the synthetic trip table (directional).
-
-    The underlying data is a synthetic stand-in, so this reproduces the
-    layout and the directional findings only: censorship-aware models
-    beat the unaware one on ICP distance, and every model deteriorates
-    as the removed fleet fraction grows.
-    """
-    trips = datagen.bundled_trip_table(n_days, seed=child_seed(master_seed, "t4", "trips"))
-    tasks = [(master_seed, alpha, rep, model, trips)
-             for alpha in alphas for rep in range(replicates) for model in models]
+    cfgs = {model: TrainConfig(max_epochs=1500, lr_grid=(0.01, 0.1, 1.0) if model == "c-lstm" else TrainConfig.lr_grid)
+            for model in models}
+    table_cells, scored = [], []
+    for alpha in alphas:
+        for rep in range(replicates):
+            cs = datagen.censor_fleet(trips, alpha, seed=child_seed(master_seed, "t4", "censor", alpha, rep))
+            ds = datagen.build_lagged_dataset(cs, LAGS)
+            ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
+            train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+            for model in models:
+                table_cells += _interval_cells(model, train, val, cfgs[model],
+                                               master_seed, "t4", "init", alpha, rep, model)
+                scored.append((model, alpha, rep, test))
     columns = ["model", "alpha", "rep", "icp", "mil", "n_crossed"]
-    raw = list(_map_tasks(_t4_cell, tasks, jobs))
+    results, raw = fit_cells(table_cells, jobs), []
+    for model, alpha, rep, test in scored:
+        lo, hi = (next(results).predict(test.X) for _ in INTERVAL_PAIR)
+        rp = metrics.subset_report(test, "all_test", lower=lo, upper=hi)
+        raw.append([model, alpha, rep, repr(rp.icp), repr(rp.mil), rp.n_crossed])
     cells = _aggregate(columns, raw, ("model", "alpha"),
                        (("icp", np.mean), ("icp", np.std), ("mil", np.mean), ("mil", np.std)))
 
@@ -605,10 +604,10 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
                 ds = datagen.build_lagged_dataset(impute_thresholds(ratio, cs), LAGS)
                 train, val, test = (ds.subset(part[part >= LAGS] - LAGS) for part in thirds)
                 train_mean = float(np.mean(train.y))
+                results = fit_cells(cell for model in models for i in range(n_inits) for cell in _interval_cells(
+                    model, train, val, cfg, master_seed, "bike", "init", gamma, cr, rep, model, i))
                 for model in models:
-                    results = list(fit_cells(cell for i in range(n_inits) for cell in _interval_cells(
-                        model, train, val, cfg, master_seed, "bike", "init", gamma, cr, rep, model, i)))
-                    pairs = list(zip(results[::2], results[1::2]))
+                    pairs = [(next(results), next(results)) for _ in range(n_inits)]
                     scores = [metrics.interval_metrics(lo.predict(val.X), hi.predict(val.X), val.y_star)[:2]
                               for lo, hi in pairs]
                     index, fallback = select_initialization(scores, train_mean)

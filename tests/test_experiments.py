@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def test_fit_cells_fits_each_problem_of_a_table_2_split_once(monkeypatch):
         _bit_equal_fits(got, want)
 
 
+def test_fit_cells_holds_a_fit_only_while_a_later_cell_poses_its_problem():
+    """A fit outlives its last cell only in the consumer's hands: c-elu reuses
+    c-linear's fit and Tobit at 0.95 reuses Tobit at 0.05, so each source is
+    held until that cell, and freed once it is yielded and the consumer has
+    dropped it (checked at the next request, before any later fit runs)."""
+    ds = datagen.gen_synthetic(datagen.SyntheticSpec("standard_gaussian", 200, child_seed(4, "held")))
+    train, val, _ = datagen.split(ds, seed=child_seed(4, "held-split"))
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=40)
+    cells = [FitCell(model, train, val, cfg, theta) for model, theta in
+             (("c-linear", 0.5), ("tobit", 0.05), ("c-elu", 0.5), ("tobit", 0.95), ("tl-linear", 0.5))]
+    results, refs, alive = fit_cells(cells), [], []
+    for _ in cells:
+        refs.append(weakref.ref(next(results)))
+        alive.append([ref() is not None for ref in refs])
+    assert next(results, None) is None
+    # the newest result is held until the next request; sources until their problem's last cell
+    assert alive == [[True], [True, True], [False, True, True], [False, False, False, True],
+                     [False, False, False, False, True]]
+    assert not any(ref() for ref in refs)
+
+
 def test_t1_cells_match_analytic_values():
     run = run_t1(master_seed=0, replicates=10)
     values = run.cells["values"]
@@ -163,9 +185,8 @@ def test_t4_cell_grid_per_model(model, monkeypatch):
         raise Sentinel
 
     monkeypatch.setattr(experiments, "fit_with_lr_grid", record)
-    trips = datagen.bundled_trip_table(60, seed=3)
     with pytest.raises(Sentinel):
-        experiments._t4_cell((0, 0.2, 0, model, trips))
+        run_t4(master_seed=0, replicates=1, alphas=(0.2,), n_days=60, models=(model,))
     assert grids == [(0.01, 0.1, 1.0) if model == "c-lstm" else TrainConfig().lr_grid]
 
 
@@ -184,12 +205,13 @@ def _crossed(ds, subset, lower, upper):
 
 
 def test_t4_raw_row_counts_crossed_intervals(monkeypatch):
-    """A Table 4 cell whose c-linear pair crosses on every test row (seed 2,
-    alpha 0.1) records that count after its score columns."""
+    """A Table 4 cell whose c-linear pair crosses on every test row (master
+    seed 1, alpha 0.1, rep 1, full size) records that count after its score columns."""
     calls = _recorded_interval_reports(monkeypatch)
-    row = experiments._t4_cell((2, 0.1, 0, "c-linear", datagen.bundled_trip_table(120, seed=2)))
-    assert len(calls) == 1 and row[:3] == ["c-linear", 0.1, 0]
-    assert row[5] == _crossed(*calls[0]) == calls[0][0].n == 37
+    run = run_t4(master_seed=1, replicates=2, alphas=(0.1,), models=("c-linear",))
+    row = run.raw_rows[1]
+    assert len(calls) == 2 and row[:3] == ["c-linear", 0.1, 1]
+    assert row[5] == _crossed(*calls[1]) == calls[1][0].n == 241
 
 
 def test_bike_raw_rows_count_crossed_intervals(monkeypatch):
