@@ -95,7 +95,6 @@ def _manifest(path, command, args, config, outputs, stats=None):
 # generate
 
 def cmd_generate(args, parser):
-    os.makedirs(args.out_dir, exist_ok=True)
     if bool(args.synthetic) == bool(args.censor):
         parser.error("generate needs exactly one of --synthetic NOISE or --censor SCHEME")
     if args.synthetic:
@@ -179,8 +178,7 @@ def cmd_fit(args, parser):
             unknown.append(m)
     if unknown:
         parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)} or c-stacked-<act>-<units>)")
-    thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
-    for flag, names in (("--models", models), ("--thetas", [f"{t:g}" for t in thetas])):  # as in the file names
+    for flag, names in (("--models", models), ("--thetas", [f"{t:g}" for t in args.thetas])):  # as in the file names
         repeated = sorted({name for name in names if names.count(name) > 1})
         if not names or repeated:
             parser.error(f"{flag} repeats {', '.join(repeated)}" if repeated else f"{flag} names no entry")
@@ -192,10 +190,9 @@ def cmd_fit(args, parser):
                   if getattr(args, k) is not None}
     use_grid = args.learning_rate is None
 
-    os.makedirs(args.out_dir, exist_ok=True)
     cells, skipped = [], 0
     for model in models:
-        for theta in thetas:
+        for theta in args.thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
                 doc = _read_json_object(cell_path, "a fit result")
@@ -229,7 +226,7 @@ def cmd_fit(args, parser):
             _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
             outputs.append(trace_path)
 
-    config = {"data": args.data, "models": models, "thetas": thetas,
+    config = {"data": args.data, "models": models, "thetas": args.thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
               "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
@@ -242,7 +239,6 @@ def cmd_fit(args, parser):
 # evaluate
 
 def cmd_evaluate(args, parser):
-    os.makedirs(args.out_dir, exist_ok=True)
     ds, noise = _load_dataset_with_manifest(args.data)
     _, _, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
     digest = _split_digest(test)
@@ -321,7 +317,6 @@ def cmd_replicate(args, parser):
     refused = ["--" + k.replace("_", "-") for k in given if k not in params]
     if refused:
         parser.error(f"replicate {args.table} does not take {', '.join(refused)}")
-    os.makedirs(args.out_dir, exist_ok=True)
     run = run_table(master_seed=args.seed, **given)
 
     base = os.path.join(args.out_dir, args.table)
@@ -349,6 +344,13 @@ def _positive_int(text):
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _number_list(text):
+    try:
+        return [float(entry) for entry in text.split(",") if entry.strip()]
+    except ValueError as exc:  # float's message quotes the entry
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def build_parser():
@@ -386,7 +388,7 @@ def build_parser():
     f.add_argument("--force", action="store_true", help="refit cells even if outputs exist")
     f.add_argument("--data", required=True, help="dataset CSV from `generate`")
     f.add_argument("--models", default="tl-linear,c-linear,c-elu")
-    f.add_argument("--thetas", default="0.05,0.5,0.95")
+    f.add_argument("--thetas", type=_number_list, default="0.05,0.5,0.95")
     f.add_argument("--learning-rate", type=float, default=None,
                    help="fixed learning rate (validation grid selection when omitted)")
     f.add_argument("--patience", type=int, default=None)

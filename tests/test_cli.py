@@ -186,7 +186,7 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
     assert run(["fit", "--data", data_dir / "censored-fleet.csv", "--models", "tl-linear,c-linear",
                 "--thetas", "0.05,0.95", "--max-epochs", 30, "--seed", 1, "--out-dir", out]) == 2
     assert "fit-c-linear-theta0.05: every training row has y == tau" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -194,10 +194,12 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
     ("--models", " , ", "--models names no entry"),
     ("--thetas", "0.5,0.50", "--thetas repeats 0.5"),
     ("--models", "c-linear,tl-linear,c-linear", "--models repeats c-linear"),
-], ids=["no-theta", "no-model", "theta-twice", "model-twice"])
+    ("--thetas", "0.05,abc", "argument --thetas: could not convert string to float: 'abc'"),
+], ids=["no-theta", "no-model", "theta-twice", "model-twice", "theta-not-a-number"])
 def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, flag, value, message):
     """A selection of no cell, or one naming a cell twice (so writing its file
-    twice), is a usage error naming the flag and the repeat; nothing is written."""
+    twice), is a usage error naming the flag and the repeat; so is a theta that
+    is not a number, naming the entry; nothing is written."""
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
     capsys.readouterr()
@@ -208,6 +210,21 @@ def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, flag, valu
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "fits").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "evaluate"])
+def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys, command):
+    """Every write makes the directory it needs, so a command refused before
+    its first write (no mode; a theta outside (0, 1); no fit files) exits 2
+    and leaves no directory behind."""
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
+    data = data_dir / "synthetic-standard_gaussian.csv"
+    argv = {"generate": ["generate"],
+            "fit": ["fit", "--data", data, "--models", "c-linear", "--thetas", 1.5],
+            "evaluate": ["evaluate", "--data", data, "--fits", data_dir]}[command]
+    assert _exit_status([*argv, "--out-dir", out]) == 2
+    assert not out.exists()
 
 
 def test_fit_warns_of_a_cell_whose_training_rows_all_sit_at_the_clamp(tmp_path, capsys):
