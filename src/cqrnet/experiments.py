@@ -196,8 +196,8 @@ def fit_cells(cells, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=jobs)
-    results, fits = (pool.map if pool else map)(_fit_cell, tasks), {}
     try:
+        results, fits = (pool.map if pool else map)(_fit_cell, tasks), {}
         for i, (cell, key) in enumerate(zip(cells, keys)):
             if key in fits:
                 result = reuse_fit(fits[key], cell.model, cell.theta, cell.cfg.seed)
