@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, datagen, metrics
-from .experiments import INTERVAL_PAIR, MODEL_NAMES, TABLES, FitCell, child_seed, fit_cells, parse_model_name
+from .experiments import INTERVAL_PAIR, TABLES, FitCell, child_seed, fit_cells, parse_model_name
 from .models import net_from_dict
 from .training import TrainConfig, impute_thresholds, train_mean_ratio
 
@@ -69,12 +69,7 @@ def _read_json_object(path, what) -> dict:
     return doc
 
 
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def _manifest(path, command, args, config, outputs, stats=None):
-    config = {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.items()}
     _write_json(
         path,
         {
@@ -83,7 +78,7 @@ def _manifest(path, command, args, config, outputs, stats=None):
             "command": command,
             "argv": args._argv,
             "config": config,
-            "config_hash": _config_hash(config),
+            "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16],
             "master_seed": args.seed,
             "outputs": outputs,
             "stats": stats or {},
@@ -169,19 +164,6 @@ def _split_digest(test) -> str:
 
 
 def cmd_fit(args, parser):
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = []
-    for m in models:
-        try:
-            parse_model_name(m)
-        except ValueError:
-            unknown.append(m)
-    if unknown:
-        parser.error(f"unknown models: {unknown} (choose from {sorted(MODEL_NAMES)} or c-stacked-<act>-<units>)")
-    for flag, names in (("--models", models), ("--thetas", [f"{t:g}" for t in args.thetas])):  # as in the file names
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if not names or repeated:
-            parser.error(f"{flag} repeats {', '.join(repeated)}" if repeated else f"{flag} names no entry")
     ds, _ = _load_dataset_with_manifest(args.data)
     train, val, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
     split_keys = {"master_seed": args.seed, "test_split_sha256": _split_digest(test)}
@@ -191,7 +173,7 @@ def cmd_fit(args, parser):
     use_grid = args.learning_rate is None
 
     cells, skipped = [], 0
-    for model in models:
+    for model in args.models:
         for theta in args.thetas:
             cell_path = os.path.join(args.out_dir, f"fit-{model}-theta{theta:g}.json")
             if os.path.exists(cell_path) and not args.force:
@@ -226,7 +208,7 @@ def cmd_fit(args, parser):
             _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
             outputs.append(trace_path)
 
-    config = {"data": args.data, "models": models, "thetas": args.thetas,
+    config = {"data": args.data, "models": args.models, "thetas": args.thetas,
               "learning_rate": args.learning_rate, "patience": args.patience,
               "max_epochs": args.max_epochs, "init": args.init}
     _manifest(os.path.join(args.out_dir, "fit-manifest.json"), "fit", args, config, outputs,
@@ -346,11 +328,25 @@ def _positive_int(text):
     return value
 
 
-def _number_list(text):
-    try:
-        return [float(entry) for entry in text.split(",") if entry.strip()]
-    except ValueError as exc:  # float's message quotes the entry
-        raise argparse.ArgumentTypeError(exc) from None
+def _model_name(name):
+    parse_model_name(name)  # its ValueError names the model and the choices
+    return name
+
+
+def _entry_list(parse_entry, key=str):
+    """An argparse type: a comma-separated list of at least one entry, each
+    parsed by `parse_entry` (whose ValueError quotes it), no two the same `key`."""
+    def parse(text):
+        try:
+            values = [parse_entry(entry.strip()) for entry in text.split(",") if entry.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+        keys = [key(value) for value in values]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated or not values:
+            raise argparse.ArgumentTypeError(f"repeats {', '.join(repeated)}" if repeated else "names no entry")
+        return values
+    return parse
 
 
 def build_parser():
@@ -370,11 +366,11 @@ def build_parser():
     g = subparsers["generate"] = sub.add_parser("generate", help="write dataset CSVs plus a manifest")
     common(g)
     g.add_argument("--synthetic", choices=datagen.NOISES, help="synthetic benchmark noise")
-    g.add_argument("--n", type=int, default=1000)
+    g.add_argument("--n", type=_positive_int, default=1000)
     g.add_argument("--zero-noise", action="store_true", help="debug hook: eps = 0")
     g.add_argument("--censor", choices=["partial", "fleet"], help="censorship scheme over a daily series")
     g.add_argument("--input", help="daily series CSV (date,count); default: bundled synthetic series")
-    g.add_argument("--n-days", type=int, default=730)
+    g.add_argument("--n-days", type=_positive_int, default=730)
     g.add_argument("--gamma", type=float, default=0.3)
     g.add_argument("--c1", type=float, default=0.34)
     g.add_argument("--c2", type=float, default=0.66)
@@ -387,12 +383,12 @@ def build_parser():
     f.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for independent cells")
     f.add_argument("--force", action="store_true", help="refit cells even if outputs exist")
     f.add_argument("--data", required=True, help="dataset CSV from `generate`")
-    f.add_argument("--models", default="tl-linear,c-linear,c-elu")
-    f.add_argument("--thetas", type=_number_list, default="0.05,0.5,0.95")
+    f.add_argument("--models", type=_entry_list(_model_name), default="tl-linear,c-linear,c-elu")
+    f.add_argument("--thetas", type=_entry_list(float, "{:g}".format), default="0.05,0.5,0.95")  # as files name them
     f.add_argument("--learning-rate", type=float, default=None,
                    help="fixed learning rate (validation grid selection when omitted)")
-    f.add_argument("--patience", type=int, default=None)
-    f.add_argument("--max-epochs", type=int, default=None)
+    f.add_argument("--patience", type=_positive_int, default=None)
+    f.add_argument("--max-epochs", type=_positive_int, default=None)
     f.add_argument("--init", choices=["ones", "standard_normal"], default="ones")
     f.add_argument("--dump-traces", action="store_true", help="write epoch,train_loss,val_loss CSVs")
     f.set_defaults(func=cmd_fit)

@@ -115,7 +115,7 @@ def parse_model_name(name) -> _ModelSpec:
         activation, _, units = name[len(_STACKED_PREFIX):].rpartition("-")
         if activation in ("tanh", "sigmoid", "elu", "relu") and units.isdigit():
             return _ModelSpec("censored_nll", partial(StackedUnitNet, units=int(units), activation=activation))
-    raise ValueError(f"unknown model {name!r}")
+    raise ValueError(f"unknown model {name!r} (choose from {', '.join(MODEL_NAMES)} or {_STACKED_PREFIX}<act>-<units>)")
 
 
 def _initial_net(spec, dim, init_scheme, init_seed):

@@ -190,26 +190,59 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--thetas", "", "--thetas names no entry"),
-    ("--models", " , ", "--models names no entry"),
-    ("--thetas", "0.5,0.50", "--thetas repeats 0.5"),
-    ("--models", "c-linear,tl-linear,c-linear", "--models repeats c-linear"),
+    ("--thetas", "", "argument --thetas: names no entry"),
+    ("--models", " , ", "argument --models: names no entry"),
+    ("--thetas", "0.5,0.50", "argument --thetas: repeats 0.5"),
+    ("--models", "c-linear,tl-linear,c-linear", "argument --models: repeats c-linear"),
     ("--thetas", "0.05,abc", "argument --thetas: could not convert string to float: 'abc'"),
-], ids=["no-theta", "no-model", "theta-twice", "model-twice", "theta-not-a-number"])
-def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, flag, value, message):
+    ("--models", "c-linear,bogus", "argument --models: unknown model 'bogus' (choose from tl-linear, c-linear"),
+    ("--patience", "0", "argument --patience: must be a positive integer, got 0"),
+    ("--max-epochs", "-1", "argument --max-epochs: must be a positive integer, got -1"),
+], ids=["no-theta", "no-model", "theta-twice", "model-twice", "theta-not-a-number", "unknown-model",
+        "patience-zero", "max-epochs-negative"])
+def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, monkeypatch, flag, value, message):
     """A selection of no cell, or one naming a cell twice (so writing its file
     twice), is a usage error naming the flag and the repeat; so is a theta that
-    is not a number, naming the entry; nothing is written."""
+    is not a number or a model that is not registered, naming the entry, and a
+    count below 1. Each is refused at its flag, from the command line and from
+    --config alike: the dataset is never read and nothing is written."""
+    from cqrnet import datagen
+
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
-    capsys.readouterr()
-    selection = {"--models": "c-linear", "--thetas": "0.5", flag: value}
-    with pytest.raises(SystemExit) as exc:
-        run(["fit", "--data", data_dir / "synthetic-standard_gaussian.csv", *(a for kv in selection.items() for a in kv),
-             "--out-dir", tmp_path / "fits"])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    loads = []
+    monkeypatch.setattr(datagen, "load_dataset_csv", lambda *a, **k: loads.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    selection = {"--models": "c-linear", "--thetas": "0.5"}
+
+    def tokens(flags):
+        return [a for kv in flags.items() for a in kv]
+
+    for argv in (tokens({**selection, flag: value}),
+                 [*tokens({k: v for k, v in selection.items() if k != flag}), "--config", cfg]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", data_dir / "synthetic-standard_gaussian.csv", *argv, "--out-dir", tmp_path / "fits"])
+        assert exc.value.code == 2
+        assert f"cqrnet fit: error: {message}" in capsys.readouterr().err, argv
+    assert loads == []
     assert not (tmp_path / "fits").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--n-days"])
+def test_generate_refuses_a_count_below_one_at_the_flag(tmp_path, capsys, flag):
+    """`generate --n 0` and `--n-days 0` are usage errors naming the flag,
+    from the command line and from --config alike, and write nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
+    for argv in ([flag, 0], ["--config", cfg]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--censor", "partial", *argv, "--out-dir", tmp_path / "data"])
+        assert exc.value.code == 2
+        assert f"cqrnet generate: error: argument {flag}: must be a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "fit", "evaluate"])
