@@ -9,8 +9,9 @@
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its checkout,
 N being BENCHMARK.json's run_seconds; the last line it prints is the result. Each workload and seed
 gets 10 pairs; pair i runs the parent first when i is even and the change first when i is odd. For every end-to-end metric in the change checkout's BENCHMARK.json the file
-records both sides' runs with their median and inclusive quartiles, the pairs the change wins and
-the gap between the medians over the parent's interquartile range.
+records both sides' runs with their median and inclusive quartiles, the pairs the change wins, the
+gap between the medians over the parent's interquartile range, and a verdict (`gain`, `regressed`,
+`unresolved` or `within_bound`, as DEFINITIONS gives them).
 
 `--tables` times `cqrnet replicate` runs instead (TABLES gives each table's arguments; `t2`, `t3` and
 `bike` run at their defaults; perfbench workloads then run only when `--workloads` is given too).
@@ -57,6 +58,11 @@ DEFINITIONS = {
     "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
     "pair_wins": "pairs in which the change's value is better than the parent's (ties count for neither)",
     "median_gap_over_parent_iqr": "|change median - parent median| / (parent q3 - parent q1)",
+    "verdict": "the first that holds of: 'gain', the change wins at least 9/10 of the pairs and its median is "
+               "better than the parent's by more than parent q3 - parent q1; 'regressed', its median is worse "
+               "than the parent's by more than bound * |parent median|; 'unresolved', parent q3 - parent q1 "
+               "exceeds bound * |parent median| and not every change run is better than every parent run; "
+               "'within_bound'",
 }
 
 
@@ -140,12 +146,23 @@ def summarize(values, specs):
         sign = 1.0 if spec["better"] == "lower" else -1.0
         stats = {"parent": side_stats(parent), "change": side_stats(change)}
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
-        gap = abs(stats["change"]["median"] - stats["parent"]["median"])
+        gain = sign * (stats["parent"]["median"] - stats["change"]["median"])  # > 0: the change's median is better
+        wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+        allowed = spec["bound"] * abs(stats["parent"]["median"])
+        if wins >= 0.9 * len(parent) and gain > iqr:
+            verdict = "gain"
+        elif -gain > allowed:
+            verdict = "regressed"
+        elif iqr > allowed and not all(sign * (c - p) < 0.0 for p in parent for c in change):
+            verdict = "unresolved"
+        else:
+            verdict = "within_bound"
         block[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"], **stats,
             "change_over_parent_median": stats["change"]["median"] / stats["parent"]["median"],
-            "pair_wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
-            "median_gap_over_parent_iqr": gap / iqr if iqr > 0.0 else None,
+            "pair_wins": wins,
+            "median_gap_over_parent_iqr": abs(gain) / iqr if iqr > 0.0 else None,
+            "verdict": verdict,
         }
     return block
 

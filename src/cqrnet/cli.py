@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -328,6 +329,12 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    if not (math.isfinite(value := float(text)) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _model_name(name):
     parse_model_name(name)  # its ValueError names the model and the choices
     return name
@@ -385,7 +392,7 @@ def build_parser():
     f.add_argument("--data", required=True, help="dataset CSV from `generate`")
     f.add_argument("--models", type=_entry_list(_model_name), default="tl-linear,c-linear,c-elu")
     f.add_argument("--thetas", type=_entry_list(float, "{:g}".format), default="0.05,0.5,0.95")  # as files name them
-    f.add_argument("--learning-rate", type=float, default=None,
+    f.add_argument("--learning-rate", type=_positive_float, default=None,
                    help="fixed learning rate (validation grid selection when omitted)")
     f.add_argument("--patience", type=_positive_int, default=None)
     f.add_argument("--max-epochs", type=_positive_int, default=None)

@@ -307,11 +307,13 @@ def lag_features(series, lags=7):
     """Covariate matrix of previous observations plus intercept slot.
 
     Row t carries (1, s[t-1], ..., s[t-lags]) and targets s[t]; the first
-    `lags` points are dropped.
+    `lags` points are dropped; 0 lags leave the intercept alone.
     """
     s = np.asarray(series, dtype=float)
     if s.ndim != 1:
         raise ValueError("series must be 1-d")
+    if lags < 0:
+        raise ValueError(f"lags must be >= 0, got {lags}")
     if s.shape[0] <= lags:
         raise ValueError(f"series of length {s.shape[0]} is too short for {lags} lags")
     n = s.shape[0] - lags

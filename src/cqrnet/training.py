@@ -67,14 +67,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0 or any(lr <= 0.0 for lr in self.lr_grid):
-            raise ValueError("learning rates must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.clip_norm <= 0.0:
-            raise ValueError("clip_norm must be positive")
+        # `x <= 0.0` is False for NaN, so each rate is tested finite and positive
+        for name, rates in (("learning_rate", [self.learning_rate]), ("lr_grid", self.lr_grid),
+                            ("clip_norm", [self.clip_norm])):
+            if not all(math.isfinite(x) and x > 0.0 for x in rates):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("patience", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

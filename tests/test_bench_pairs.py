@@ -171,3 +171,31 @@ def test_main_times_five_alternating_tier1_pairs_with_counts(tmp_path, monkeypat
     assert cell["runs"]["change"] == [{"exit": 1, "passed": 381, "failed": 1, "xfailed": 2, "error": 1}] * 5
     assert cell["verdicts_steady"] == {"parent": True, "change": True}
     assert len(cell["metrics"]["wall_s"]["change"]["runs"]) == 5
+
+
+TIGHT = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]  # median 1.0, q3 - q1 0.01
+WIDE = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]  # median 1.0, q3 - q1 0.55
+SPLIT = [1.0, 1.6] * 5  # median 1.3, q3 - q1 0.6
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("lower", TIGHT, [v - 0.2 for v in TIGHT], "gain"),
+    ("higher", [100 * v for v in TIGHT], [130 * v for v in TIGHT], "gain"),
+    ("lower", TIGHT, [0.8] * 8 + [1.1, 1.1], "within_bound"),  # 8 wins of 10 are no gain
+    ("lower", TIGHT, [v + 0.1 for v in TIGHT], "within_bound"),  # 10% worse, inside the 25% bound
+    ("lower", TIGHT, [1.5 * v for v in TIGHT], "regressed"),
+    ("higher", [100 * v for v in TIGHT], [70 * v for v in TIGHT], "regressed"),
+    ("lower", WIDE, [v + 0.1 for v in WIDE], "unresolved"),
+    ("lower", WIDE, [v - 0.1 for v in WIDE], "unresolved"),  # better, yet not past the spread
+    ("lower", SPLIT, [0.99] * 10, "within_bound"),  # as wide, but every change run beats every parent run
+    ("lower", WIDE, [1.5 * v for v in WIDE], "regressed"),
+], ids=["gain", "gain-higher", "eight-wins", "worse-within-bound", "regressed", "regressed-higher",
+        "unresolved-worse", "unresolved-better", "wide-but-every-run-better", "regressed-wide"])
+def test_summary_gives_each_metric_a_verdict(better, parent, change, verdict):
+    """A gain wins 9 of 10 pairs and moves the median past the parent's
+    q3 - q1; a regression moves it the wrong way past the bound; a metric
+    whose parent runs spread past the bound is unresolved unless every
+    change run beats every parent run; anything else is within bound."""
+    spec = {"unit": "s", "better": better, "bound": 0.25}
+    block = _bench_pairs().summarize({"parent": {"m": parent}, "change": {"m": change}}, {"m": spec})
+    assert block["m"]["verdict"] == verdict

@@ -198,13 +198,15 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
     ("--models", "c-linear,bogus", "argument --models: unknown model 'bogus' (choose from tl-linear, c-linear"),
     ("--patience", "0", "argument --patience: must be a positive integer, got 0"),
     ("--max-epochs", "-1", "argument --max-epochs: must be a positive integer, got -1"),
+    *(("--learning-rate", rate, f"argument --learning-rate: must be a positive finite number, got {rate}")
+      for rate in ("nan", "inf", "0", "-1")),
 ], ids=["no-theta", "no-model", "theta-twice", "model-twice", "theta-not-a-number", "unknown-model",
-        "patience-zero", "max-epochs-negative"])
+        "patience-zero", "max-epochs-negative", "rate-nan", "rate-inf", "rate-zero", "rate-negative"])
 def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, monkeypatch, flag, value, message):
     """A selection of no cell, or one naming a cell twice (so writing its file
     twice), is a usage error naming the flag and the repeat; so is a theta that
-    is not a number or a model that is not registered, naming the entry, and a
-    count below 1. Each is refused at its flag, from the command line and from
+    is not a number or a model that is not registered, naming the entry, a
+    count below 1 and a learning rate that is not finite and positive. Each is refused at its flag, from the command line and from
     --config alike: the dataset is never read and nothing is written."""
     from cqrnet import datagen
 
@@ -245,15 +247,16 @@ def test_generate_refuses_a_count_below_one_at_the_flag(tmp_path, capsys, flag):
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "fit", "evaluate"])
+@pytest.mark.parametrize("command", ["generate", "fit", "evaluate", "generate-negative-lags"])
 def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys, command):
     """Every write makes the directory it needs, so a command refused before
-    its first write (no mode; a theta outside (0, 1); no fit files) exits 2
-    and leaves no directory behind."""
+    its first write (no mode; a theta outside (0, 1); no fit files; a
+    negative lag count) exits 2 and leaves no directory behind."""
     data_dir, out = tmp_path / "data", tmp_path / "out"
     assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
     data = data_dir / "synthetic-standard_gaussian.csv"
     argv = {"generate": ["generate"],
+            "generate-negative-lags": ["generate", "--censor", "partial", "--n-days", 60, "--lags", -1],
             "fit": ["fit", "--data", data, "--models", "c-linear", "--thetas", 1.5],
             "evaluate": ["evaluate", "--data", data, "--fits", data_dir]}[command]
     assert _exit_status([*argv, "--out-dir", out]) == 2

@@ -266,6 +266,21 @@ def test_lag_features_too_short():
         lag_features(np.ones(7), lags=7)
 
 
+@pytest.mark.parametrize("lags", [-1, -2, -10])
+def test_negative_lags_are_refused(lags):
+    """A negative lag count would index the series from its end: refused, as
+    a covariate matrix and as a lagged dataset."""
+    with pytest.raises(ValueError, match=f"lags must be >= 0, got {lags}"):
+        lag_features(np.arange(10.0), lags)
+    with pytest.raises(ValueError, match=f"lags must be >= 0, got {lags}"):
+        build_lagged_dataset(censor_partial(np.arange(10.0, 20.0), 0.3, 0.34, 0.66, seed=1), lags)
+
+
+def test_zero_lags_give_intercept_only_rows():
+    X, y = lag_features(np.arange(10.0), 0)
+    assert np.array_equal(X, np.ones((10, 1))) and np.array_equal(y, np.arange(10.0))
+
+
 def test_lag_features_recover_ar_coefficient():
     rng = np.random.default_rng(12)
     n, phi = 3000, 0.7

@@ -81,6 +81,12 @@ def test_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_grid=(0.1, -1.0))
+    # a rate or clip norm must be finite too: NaN compares False with 0.0
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("learning_rate", nan), ("learning_rate", inf), ("lr_grid", (nan, 0.1)),
+                         ("lr_grid", (0.1, inf)), ("clip_norm", nan), ("clip_norm", inf), ("max_epochs", 0)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
 
 def test_fit_recovers_exact_linear_data():
