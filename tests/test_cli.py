@@ -206,8 +206,9 @@ def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, monkeypatc
     """A selection of no cell, or one naming a cell twice (so writing its file
     twice), is a usage error naming the flag and the repeat; so is a theta that
     is not a number or a model that is not registered, naming the entry, a
-    count below 1 and a learning rate that is not finite and positive. Each is refused at its flag, from the command line and from
-    --config alike: the dataset is never read and nothing is written."""
+    count below 1 and a learning rate that is not finite and positive. Each
+    is refused at its flag, from the command line and from --config alike:
+    the dataset is never read and nothing is written."""
     from cqrnet import datagen
 
     data_dir = tmp_path / "data"
