@@ -43,6 +43,21 @@ def test_generate_is_reproducible(tmp_path):
     assert same == (b / "synthetic-standard_gaussian.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode, name, digest", [
+    ("--synthetic", "gaussian_mixture", "ee6c2e6f68f3917773dc8cba633dfaedbbabe44fe83d380b8fc6f1d4bdb52b5d"),
+    ("--censor", "partial", "672b0bce0f174dfe315d309655e174a1ceb5696f21f347f66fe9b325a3c4887a"),
+    ("--censor", "fleet", "5db287c6b2ae022f6a41bfa1107728314833ebd92ccda458bb5294ed861747ba"),
+])
+def test_generate_writes_pinned_dataset_bytes(tmp_path, mode, name, digest):
+    """The SHA-256 of the dataset CSV `generate` writes at seed 1 with its
+    default sizes: the writer's number format, columns and line ends."""
+    import hashlib
+
+    assert run(["generate", mode, name, "--seed", 1, "--out-dir", tmp_path]) == 0
+    prefix = "synthetic" if mode == "--synthetic" else "censored"
+    assert hashlib.sha256((tmp_path / f"{prefix}-{name}.csv").read_bytes()).hexdigest() == digest
+
+
 def test_generate_partial_gamma_zero_keeps_series(tmp_path):
     out = tmp_path / "p0"
     assert run(["generate", "--censor", "partial", "--gamma", 0.0, "--n-days", 60,
