@@ -125,10 +125,8 @@ def _initial_net(spec, dim, init_scheme, init_seed):
 def fit_model(name, train, val, cfg, theta, init_scheme="ones", init_seed=None, use_lr_grid=False):
     """Fit model `name` at level theta, over the lr grid when `use_lr_grid`."""
     spec = parse_model_name(name)
-    factory = partial(_initial_net, spec, train.X.shape[1], init_scheme, init_seed)
-    if use_lr_grid:
-        return fit_with_lr_grid(factory, spec.loss_kind, train, val, cfg, theta=theta)
-    return fit(factory(), spec.loss_kind, train, val, cfg, theta=theta)
+    net = _initial_net(spec, train.X.shape[1], init_scheme, init_seed)
+    return (fit_with_lr_grid if use_lr_grid else fit)(net, spec.loss_kind, train, val, cfg, theta=theta)
 
 
 def training_problem(model, theta, train, val, init_scheme="ones", init_seed=None):

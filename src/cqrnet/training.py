@@ -218,18 +218,18 @@ def training_loss(net, loss_kind, train, val, theta=None):
 
 
 def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
-    """Adam-fit `net` on `train`, early-stopping on `val`.
+    """Adam-fit a copy of `net` on `train`, early-stopping on `val`.
 
-    The returned result holds a copy of the net restored to the best
-    validation epoch. Raises NonFiniteLossError if either loss leaves the
-    reals (the lr-grid driver treats that as a diverged cell).
+    The result holds the copy at its best validation epoch, and `net`
+    keeps its own arrays. Raises NonFiniteLossError if either loss leaves
+    the reals (the lr-grid driver treats that as a diverged cell).
 
     The censored NLL and Tobit on right-censored data fit `net` on the
     mirrored sets at level 1 - theta; the result then holds it in a
     MirrorWrapper, with the caller's theta. Only the tilted loss trains on
     either side directly.
     """
-    side = train.side
+    side, net = train.side, net.copy()  # before the loss: a Tobit loss reads its net's scale
     loss, train, val = training_loss(net, loss_kind, train, val, theta)
     mirrored = train.side != side
     X = np.concatenate([train.X, val.X], dtype=float)
@@ -293,19 +293,19 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
     )
 
 
-def fit_with_lr_grid(net_factory, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
-    """One fit per grid learning rate from identical initial weights;
-    returns the one with the smallest best-epoch validation loss (ties go
-    to the smaller rate). Its diagnostics["grid"] records every rate in the
-    order they ran: `lr`, `epochs` (forward passes, the diverging one
-    included) and `best_val_loss` with `stop_reason`, or the `diverged`
-    message. If every rate diverges the messages are raised together."""
+def fit_with_lr_grid(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
+    """One fit per grid learning rate, each from `net`'s weights; returns
+    the one with the smallest best-epoch validation loss (ties go to the
+    smaller rate). Its diagnostics["grid"] records every rate in the order
+    they ran: `lr`, `epochs` (forward passes, the diverging one included)
+    and `best_val_loss` with `stop_reason`, or the `diverged` message. If
+    every rate diverges the messages are raised together."""
     if not cfg.lr_grid:
         raise ValueError("lr_grid must be nonempty")
     best_result, grid = None, []
     for lr in sorted(cfg.lr_grid):
         try:
-            result = fit(net_factory(), loss_kind, train, val, replace(cfg, learning_rate=lr), theta)
+            result = fit(net, loss_kind, train, val, replace(cfg, learning_rate=lr), theta)
         except NonFiniteLossError as exc:
             grid.append({"lr": lr, "epochs": len(exc.train_trace) + 1, "diverged": str(exc)})
             continue

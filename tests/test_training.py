@@ -181,16 +181,14 @@ def test_lr_grid_selection():
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 500, 12))
     train, val, _ = split(ds, seed=13)
 
-    def factory():
-        return init_weights(LinearQuantileNet(3), "ones")
-
-    single = fit_with_lr_grid(factory, "censored_nll", train, val,
+    net = init_weights(LinearQuantileNet(3), "ones")
+    single = fit_with_lr_grid(net, "censored_nll", train, val,
                               TrainConfig(lr_grid=(0.01,)), theta=0.5)
-    direct = fit(factory(), "censored_nll", train, val, TrainConfig(learning_rate=0.01), theta=0.5)
+    direct = fit(net, "censored_nll", train, val, TrainConfig(learning_rate=0.01), theta=0.5)
     assert single.learning_rate == 0.01
     assert single.train_trace == direct.train_trace
 
-    picked = fit_with_lr_grid(factory, "censored_nll", train, val,
+    picked = fit_with_lr_grid(net, "censored_nll", train, val,
                               TrainConfig(lr_grid=(0.01, 1000.0)), theta=0.5)
     assert np.isfinite(picked.best_val_loss)
     assert picked.best_val_loss <= direct.best_val_loss + 1e-12
@@ -236,7 +234,7 @@ def test_lr_grid_calls_fit_once_per_rate(monkeypatch):
         return _fit(net, loss_kind, train, val, cfg, theta)
 
     monkeypatch.setattr(training, "fit", counting_fit)
-    fit_with_lr_grid(lambda: init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
+    fit_with_lr_grid(init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
                      TrainConfig(lr_grid=(1.0, 0.01, 1e308, 0.1), max_epochs=200), theta=0.5)
     assert rates == [0.01, 0.1, 1.0, 1e308]
 
@@ -256,7 +254,7 @@ def test_lr_grid_records_every_rate(monkeypatch):
     forward_train = LinearQuantileNet.forward_train
     monkeypatch.setattr(LinearQuantileNet, "forward_train",
                         lambda net, *args: passes.append(1) or forward_train(net, *args))
-    result = fit_with_lr_grid(lambda: init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
+    result = fit_with_lr_grid(init_weights(LinearQuantileNet(3), "ones"), "censored_nll", train, val,
                               TrainConfig(lr_grid=(1.0, 0.01, 1e308, 0.1), max_epochs=200), theta=0.5)
     grid = result.diagnostics["grid"]
     assert [entry["lr"] for entry in grid] == [0.01, 0.1, 1.0, 1e308]
@@ -274,13 +272,51 @@ def test_lr_grid_all_diverged():
     ds = linear_dataset([1.0, 1.0], n=20, seed=4)
     ds.y[0] = np.nan
 
-    def factory():
-        return init_weights(LinearQuantileNet(2), "ones")
-
     with pytest.raises(AllFitsDivergedError) as exc:
-        fit_with_lr_grid(factory, "tilted", ds, ds, TrainConfig(lr_grid=(0.01, 0.1)), theta=0.5)
+        fit_with_lr_grid(init_weights(LinearQuantileNet(2), "ones"), "tilted", ds, ds,
+                         TrainConfig(lr_grid=(0.01, 0.1)), theta=0.5)
     assert [(entry["lr"], entry["epochs"]) for entry in exc.value.grid] == [(0.01, 1), (0.1, 1)]
     assert "lr=0.01: non-finite loss at epoch 0" in str(exc.value)
+
+
+def test_fit_leaves_its_net_as_given(monkeypatch):
+    """`fit` and the lr grid train copies: the net keeps its own arrays,
+    bit-equal, so one net fitted twice gives the same fit, and a grid over
+    N(0,1) weights drawn with no seed starts every rate from one draw."""
+    import cqrnet.training as training
+    from cqrnet.experiments import fit_model
+
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 7))
+    train, val, _ = split(ds, seed=8)
+    net = init_weights(LinearQuantileNet(3), "standard_normal", seed=9)
+    arrays = dict(net.params)
+    saved = {k: v.copy() for k, v in arrays.items()}
+
+    def as_given():
+        return net.params.keys() == arrays.keys() and all(
+            net.params[k] is arrays[k] and np.array_equal(arrays[k], saved[k]) for k in arrays)
+
+    cfg = TrainConfig(learning_rate=0.05)
+    first, second = (fit(net, "censored_nll", train, val, cfg, theta=0.5) for _ in range(2))
+    assert as_given()
+    assert (first.train_trace, first.val_trace, first.best_epoch, first.stopping_epoch) == (
+        second.train_trace, second.val_trace, second.best_epoch, second.stopping_epoch)
+    assert np.array_equal(first.net.params["beta"], second.net.params["beta"])
+    assert not np.array_equal(first.net.params["beta"], saved["beta"])
+
+    starts = []
+
+    def recording_fit(net, *args, _fit=training.fit):
+        starts.append(net.params["beta"].copy())
+        return _fit(net, *args)
+
+    monkeypatch.setattr(training, "fit", recording_fit)
+    grid = TrainConfig(lr_grid=(0.01, 0.1, 1.0), max_epochs=30)
+    fit_with_lr_grid(net, "censored_nll", train, val, grid, theta=0.5)
+    assert as_given() and len(starts) == 3 and all(np.array_equal(s, saved["beta"]) for s in starts)
+    starts.clear()
+    fit_model("c-linear", train, val, grid, 0.5, init_scheme="standard_normal", use_lr_grid=True)
+    assert len(starts) == 3 and all(np.array_equal(s, starts[0]) for s in starts)
 
 
 # -- mirror fitting ----------------------------------------------------------
