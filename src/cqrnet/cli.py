@@ -23,9 +23,9 @@ import tempfile
 import numpy as np
 
 from . import __version__, datagen, metrics
-from .experiments import INTERVAL_PAIR, TABLES, FitCell, child_seed, fit_cells, parse_model_name
+from .experiments import INTERVAL_PAIR, TABLES, FitCell, child_seed, fit_cells, parse_model_name, split_for_fit
 from .models import net_from_dict
-from .training import TrainConfig, impute_thresholds, train_mean_ratio
+from .training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +145,6 @@ def _load_dataset_with_manifest(data_path):
     return datagen.load_dataset_csv(data_path, side=side), noise
 
 
-def _prepare_for_fit(ds, seed):
-    """Train/val/test: random 62/15/23 for cross-sectional data, consecutive
-    thirds for (right-censored) series datasets; missing thresholds imputed
-    with the training rows' ratio."""
-    if ds.side == "right":
-        train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
-    else:
-        train, val, test = datagen.split(ds, seed=seed)
-    if np.any(np.isnan(ds.tau)):
-        ratio = train_mean_ratio(train.y_star, train.y)
-        train, val, test = (impute_thresholds(ratio, part) for part in (train, val, test))
-    return train, val, test
-
-
 def _split_digest(test) -> str:
     """SHA-256 of the test rows' X and y bytes: which rows `evaluate` may score."""
     return hashlib.sha256(test.X.tobytes() + test.y.tobytes()).hexdigest()
@@ -166,7 +152,7 @@ def _split_digest(test) -> str:
 
 def cmd_fit(args, parser):
     ds, _ = _load_dataset_with_manifest(args.data)
-    train, val, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
+    train, val, test = split_for_fit(ds, child_seed(args.seed, "fit", "split"))
     split_keys = {"master_seed": args.seed, "test_split_sha256": _split_digest(test)}
 
     cfg_kwargs = {k: getattr(args, k) for k in ("learning_rate", "patience", "max_epochs")
@@ -223,7 +209,7 @@ def cmd_fit(args, parser):
 
 def cmd_evaluate(args, parser):
     ds, noise = _load_dataset_with_manifest(args.data)
-    _, _, test = _prepare_for_fit(ds, child_seed(args.seed, "fit", "split"))
+    _, _, test = split_for_fit(ds, child_seed(args.seed, "fit", "split"))
     digest = _split_digest(test)
 
     fits = {}

@@ -44,6 +44,7 @@ from .training import (
 __all__ = [
     "child_seed",
     "MODEL_NAMES",
+    "split_for_fit",
     "fit_model",
     "training_problem",
     "reuse_fit",
@@ -116,6 +117,21 @@ def parse_model_name(name) -> _ModelSpec:
         if activation in ("tanh", "sigmoid", "elu", "relu") and units.isdigit():
             return _ModelSpec("censored_nll", partial(StackedUnitNet, units=int(units), activation=activation))
     raise ValueError(f"unknown model {name!r} (choose from {', '.join(MODEL_NAMES)} or {_STACKED_PREFIX}<act>-<units>)")
+
+
+def split_for_fit(ds, seed=None):
+    """Train/val/test as `cli fit`, `cli evaluate` and Tables 2-4 take them:
+    a random 62/15/23 split at `seed` for left-censored data, consecutive
+    thirds of the rows for right-censored series; NaN thresholds imputed
+    with the training rows' ratio."""
+    if ds.side == "right":
+        train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+    else:
+        train, val, test = datagen.split(ds, seed=seed)
+    if np.any(np.isnan(ds.tau)):
+        ratio = train_mean_ratio(train.y_star, train.y)
+        train, val, test = (impute_thresholds(ratio, part) for part in (train, val, test))
+    return train, val, test
 
 
 def _initial_net(spec, dim, init_scheme, init_seed):
@@ -335,9 +351,7 @@ def run_t2(master_seed=0, replicates=10, n=1000, zero_noise=False) -> TableRun:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t2", noise, "data", rep)
             ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed), zero_noise=zero_noise)
-            train, val, test = datagen.split(
-                ds, seed=child_seed(master_seed, "t2", noise, "split", rep)
-            )
+            train, val, test = split_for_fit(ds, child_seed(master_seed, "t2", noise, "split", rep))
             # with degenerate noise every latent quantile is the mean itself
             truths = {theta: test.X.sum(axis=1) if zero_noise
                       else datagen.latent_quantile(noise, theta, test.X, mixture_compat=True) for theta in THETA_GRID}
@@ -434,9 +448,7 @@ def run_t3(master_seed=0, replicates=5, n=1000) -> TableRun:
         for rep in range(replicates):
             seed = child_seed(master_seed, "t3", noise, "data", rep)
             ds = datagen.gen_synthetic(datagen.SyntheticSpec(noise, n, seed))
-            train, val, test = datagen.split(
-                ds, seed=child_seed(master_seed, "t3", noise, "split", rep)
-            )
+            train, val, test = split_for_fit(ds, child_seed(master_seed, "t3", noise, "split", rep))
             # the Tobit cells pose one problem, so its one fit gives both ends of its interval
             ends = [result.predict(test.X) for result in fit_cells(
                 FitCell(model, train, val, cfg, theta) for model in ("tobit", "c-linear") for theta in INTERVAL_PAIR)]
@@ -523,7 +535,7 @@ def run_t4(master_seed=0, replicates=3, alphas=(0.1, 0.2, 0.3, 0.4),
             cs = datagen.censor_fleet(trips, alpha, seed=child_seed(master_seed, "t4", "censor", alpha, rep))
             ds = datagen.build_lagged_dataset(cs, LAGS)
             ds = replace(ds, tau=2.0 * ds.y / (1.0 - alpha))
-            train, val, test = datagen.split(ds, (1 / 3, 1 / 3, 1 / 3), consecutive=True)
+            train, val, test = split_for_fit(ds)
             for model in models:
                 table_cells += _interval_cells(model, train, val, cfgs[model],
                                                master_seed, "t4", "init", alpha, rep, model)
@@ -583,7 +595,9 @@ def run_bike_protocol(master_seed=0, gammas=(0.3, 0.6, 0.9),
     Per censored replicate: consecutive thirds, train-ratio threshold
     imputation, lag-7 covariates, N(0,1) random initializations with the
     validation-MIL filter and ICP-closest-to-0.9 selection, then test
-    ICP/MIL averaged over replicates.
+    ICP/MIL averaged over replicates. Its split is the one exception to
+    `split_for_fit`: thirds of the series before the lags, as thirds of the
+    lag rows pass fewer seeds (CHANGES.md FOUND on the lag-row split).
     """
     cfg = TrainConfig()
     series = datagen.bundled_daily_series(n_days, seed=child_seed(master_seed, "bike", "series"))
