@@ -10,10 +10,8 @@ iff any replication verdict fails or a stage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import inspect
-import io
 import json
 import math
 import os
@@ -47,14 +45,6 @@ def _atomic_write(path, payload: str):
 
 def _write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
 
 
 def _read_json_object(path, what) -> dict:
@@ -192,7 +182,7 @@ def cmd_fit(args, parser):
         if args.dump_traces:
             trace_path = os.path.join(args.out_dir, f"trace-{name}.csv")
             rows = [[e, repr(tr), repr(va)] for e, (tr, va) in enumerate(zip(result.train_trace, result.val_trace))]
-            _write_csv(trace_path, ["epoch", "train_loss", "val_loss"], rows)
+            _atomic_write(trace_path, datagen.csv_text(["epoch", "train_loss", "val_loss"], rows))
             outputs.append(trace_path)
 
     config = {"data": args.data, "models": args.models, "thetas": args.thetas,
@@ -261,7 +251,8 @@ def cmd_evaluate(args, parser):
         parser.error("nothing to evaluate: no ground truth for point metrics "
                      "and no (0.05, 0.95) pair for intervals")
     csv_path = os.path.join(args.out_dir, "evaluation.csv")
-    _write_csv(csv_path, ["model", "theta", "subset", "n", "r2", "mae", "rmse", "icp", "mil"], rows)
+    header = ["model", "theta", "subset", "n", "r2", "mae", "rmse", "icp", "mil"]
+    _atomic_write(csv_path, datagen.csv_text(header, rows))
     json_path = os.path.join(args.out_dir, "evaluation.json")
     _write_json(json_path, {f"{m}|{t}|{s}": rp.to_dict() for (m, t, s), rp in reports.items()})
     config = {"data": args.data, "fits": args.fits, "subset": args.subset,
@@ -290,7 +281,7 @@ def cmd_replicate(args, parser):
 
     base = os.path.join(args.out_dir, args.table)
     raw_path = base + "-raw.csv"
-    _write_csv(raw_path, run.columns, run.raw_rows)
+    _atomic_write(raw_path, datagen.csv_text(run.columns, run.raw_rows))
     table_path = base + "-table.txt"
     _atomic_write(table_path, run.render())
     verdict_path = base + "-verdicts.json"

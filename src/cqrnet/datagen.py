@@ -47,6 +47,7 @@ __all__ = [
     "split",
     "lag_features",
     "build_lagged_dataset",
+    "csv_text",
     "dataset_csv_text",
     "load_dataset_csv",
     "load_daily_series_csv",
@@ -334,22 +335,24 @@ def build_lagged_dataset(series: CensoredDataset, lags=7) -> CensoredDataset:
 # CSV interfaces
 
 
-def dataset_csv_text(ds: CensoredDataset) -> str:
-    """`x1..xp,y,tau,censored[,y_star]` as CSV text; the intercept is not stored."""
-    p = ds.X.shape[1] - 1
-    header = [f"x{i}" for i in range(1, p + 1)] + ["y", "tau", "censored"]
-    if ds.y_star is not None:
-        header.append("y_star")
+def csv_text(header, rows) -> str:
+    """The header and then each row as CSV text in the csv module's default
+    dialect: a float written as its repr, each line ending in CRLF."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for i in range(ds.n):
-        row = [repr(float(v)) for v in ds.X[i, 1:]]
-        row += [repr(float(ds.y[i])), repr(float(ds.tau[i])), str(int(ds.censored[i]))]
-        if ds.y_star is not None:
-            row.append(repr(float(ds.y_star[i])))
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def dataset_csv_text(ds: CensoredDataset) -> str:
+    """`x1..xp,y,tau,censored[,y_star]` as CSV text; the intercept is not stored."""
+    header = [f"x{i}" for i in range(1, ds.X.shape[1])] + ["y", "tau", "censored"]
+    columns = [*ds.X[:, 1:].T.tolist(), ds.y.tolist(), ds.tau.tolist(), ds.censored.astype(int).tolist()]
+    if ds.y_star is not None:
+        header.append("y_star")
+        columns.append(ds.y_star.tolist())
+    return csv_text(header, zip(*columns))
 
 
 def load_dataset_csv(path, side="left") -> CensoredDataset:
