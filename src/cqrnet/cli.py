@@ -300,16 +300,21 @@ def cmd_replicate(args, parser):
 # ---------------------------------------------------------------------------
 # parser
 
-def _positive_int(text):
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _positive(parse, what):
+    """An argparse type: a text that `parse` reads as a finite number above 0;
+    any other is a usage error `must be <what>, got <text>`."""
+    def positive(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value, text = math.nan, repr(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return positive
 
 
-def _positive_float(text):
-    if not (math.isfinite(value := float(text)) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+_positive_int, _positive_float = _positive(int, "a positive integer"), _positive(float, "a positive finite number")
 
 
 def _model_name(name):

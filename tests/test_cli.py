@@ -215,15 +215,19 @@ def test_fit_checks_every_cell_before_fitting_any(tmp_path, capsys):
     ("--max-epochs", "-1", "argument --max-epochs: must be a positive integer, got -1"),
     *(("--learning-rate", rate, f"argument --learning-rate: must be a positive finite number, got {rate}")
       for rate in ("nan", "inf", "0", "-1")),
+    ("--patience", "x", "argument --patience: must be a positive integer, got 'x'"),
+    ("--learning-rate", "abc", "argument --learning-rate: must be a positive finite number, got 'abc'"),
 ], ids=["no-theta", "no-model", "theta-twice", "model-twice", "theta-not-a-number", "unknown-model",
-        "patience-zero", "max-epochs-negative", "rate-nan", "rate-inf", "rate-zero", "rate-negative"])
+        "patience-zero", "max-epochs-negative", "rate-nan", "rate-inf", "rate-zero", "rate-negative",
+        "patience-not-a-number", "rate-not-a-number"])
 def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, monkeypatch, flag, value, message):
     """A selection of no cell, or one naming a cell twice (so writing its file
     twice), is a usage error naming the flag and the repeat; so is a theta that
     is not a number or a model that is not registered, naming the entry, a
     count below 1 and a learning rate that is not finite and positive. Each
-    is refused at its flag, from the command line and from --config alike:
-    the dataset is never read and nothing is written."""
+    is refused at its flag, from the command line and from --config alike,
+    naming the flag and the text and no function of the parser: the dataset
+    is never read and nothing is written."""
     from cqrnet import datagen
 
     data_dir = tmp_path / "data"
@@ -243,23 +247,29 @@ def test_fit_refuses_an_empty_or_repeated_selection(tmp_path, capsys, monkeypatc
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--data", data_dir / "synthetic-standard_gaussian.csv", *argv, "--out-dir", tmp_path / "fits"])
         assert exc.value.code == 2
-        assert f"cqrnet fit: error: {message}" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert f"cqrnet fit: error: {message}" in err and "invalid" not in err, argv
     assert loads == []
     assert not (tmp_path / "fits").exists()
 
 
-@pytest.mark.parametrize("flag", ["--n", "--n-days"])
-def test_generate_refuses_a_count_below_one_at_the_flag(tmp_path, capsys, flag):
-    """`generate --n 0` and `--n-days 0` are usage errors naming the flag,
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--n", 0, "0"), ("--n-days", 0, "0"), ("--n", "abc", "'abc'"), ("--n-days", 1.5, "'1.5'"),
+], ids=["--n", "--n-days", "--n-abc", "--n-days-1.5"])
+def test_generate_refuses_a_count_below_one_at_the_flag(tmp_path, capsys, flag, value, shown):
+    """`generate --n 0`, `--n-days 0` and a count that is no integer are
+    usage errors naming the flag and the text and no function of the parser,
     from the command line and from --config alike, and write nothing."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
-    for argv in ([flag, 0], ["--config", cfg]):
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    for argv in ([flag, value], ["--config", cfg]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--censor", "partial", *argv, "--out-dir", tmp_path / "data"])
         assert exc.value.code == 2
-        assert f"cqrnet generate: error: argument {flag}: must be a positive integer, got 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cqrnet generate: error: argument {flag}: must be a positive integer, got {shown}" in err
+        assert "invalid" not in err
     assert not (tmp_path / "data").exists()
 
 
