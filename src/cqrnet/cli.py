@@ -206,7 +206,8 @@ def cmd_evaluate(args, parser):
     for name in sorted(os.listdir(args.fits)):
         if not (name.startswith("fit-") and "-theta" in name and name.endswith(".json")):
             continue
-        doc = _read_json_object(os.path.join(args.fits, name), "a fit result")
+        path = os.path.join(args.fits, name)
+        doc = _read_json_object(path, "a fit result")
         if doc.get("test_split_sha256") != digest:
             raise ValueError(
                 f"{name} was fitted on another split than the test rows that evaluate --seed {args.seed} "
@@ -215,9 +216,9 @@ def cmd_evaluate(args, parser):
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
         try:
             fits[(model, float(doc["theta"]))] = net_from_dict(doc["net"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, MemoryError) as exc:  # MemoryError: a config too large to build
             why = f"a fit result needs the key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{name}: {why}") from None
+            raise ValueError(f"{path}: {why}") from None
     if not fits:
         parser.error(f"no fit-*.json results under {args.fits}")
 

@@ -785,6 +785,13 @@ SERIES = "date,count\n" + "".join(f"2020-01-{d:02d},{10 + d}\n" for d in range(1
 DATA = "data/synthetic-standard_gaussian.csv"
 
 
+def _huge_net(text):
+    """A fit file whose net asks for 10**14 weights (728 TiB): numpy refuses at once."""
+    doc = json.loads(text)
+    doc["net"]["config"]["dim"] = 10**14
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("path, text, command", [
     ("data/generate-manifest.json", "[1]", "fit"),
     ("data/generate-manifest.json", "[1]", "evaluate"),
@@ -795,6 +802,7 @@ DATA = "data/synthetic-standard_gaussian.csv"
      "evaluate"),
     ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "fit"),
     ("fits/fit-c-linear-theta0.5.json", lambda text: text[:40], "evaluate"),
+    ("fits/fit-c-linear-theta0.5.json", _huge_net, "evaluate"),
     ("cfg.json", "not json", "generate"),
     ("cfg.json", "[1]", "generate"),
     (DATA, "", "fit"),
@@ -809,7 +817,7 @@ DATA = "data/synthetic-standard_gaussian.csv"
     ("series.csv", SERIES.replace(",13\n", ",inf\n"), "series"),
 ], ids=["manifest-list-fit", "manifest-list-evaluate", "manifest-stats-list-fit", "manifest-stats-list-evaluate",
         "manifest-side-up", "manifest-noise-cauchy",
-        "fit-truncated-fit", "fit-truncated-evaluate", "config-not-json", "config-list", "dataset-empty",
+        "fit-truncated-fit", "fit-truncated-evaluate", "fit-huge-net-evaluate", "config-not-json", "config-list", "dataset-empty",
         "dataset-header-only", "dataset-short-row", "dataset-not-a-number", "dataset-censored-7", "dataset-nan-x",
         "series-one-field", "series-nan", "series-negative", "series-inf"])
 def test_a_malformed_file_exits_2_naming_it(tmp_path, capsys, path, text, command):
