@@ -113,22 +113,27 @@ def run_tier1(checkout):
     return wall, {"exit": proc.returncode, **counts}
 
 
-def alternating_pairs(args, run, label):
-    """TABLE_PAIRS pairs of `run(checkout) -> (wall, outputs)` on both sides, the even pairs running
-    the parent first; from the second pair on, yields (pairs, first, walls, outputs) after each."""
-    walls = {side: {"wall_s": []} for side in SIDES}
+def alternating_pairs(args, run, label, pairs):
+    """`pairs` pairs of `run(checkout) -> (measured, output)` on both sides, the even pairs running the
+    parent first, `measured` being {metric: value} or a wall time in seconds (the metric `wall_s`);
+    from the second pair on, yields (pairs run, first, {side: {metric: [value per run]}}, {side:
+    [output per run]}) after each."""
+    values = {side: {} for side in SIDES}
     outputs = {side: [] for side in SIDES}
     first = []
-    for i in range(TABLE_PAIRS):
+    for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            wall, out = run(getattr(args, side))
-            walls[side]["wall_s"].append(wall)
+            measured, out = run(getattr(args, side))
+            measured = measured if isinstance(measured, dict) else {"wall_s": measured}
+            for name, value in measured.items():
+                values[side].setdefault(name, []).append(value)
             outputs[side].append(out)
-            print(f"{label} pair {i} {side}: wall_s={wall:.4g}", file=sys.stderr)
+            print(f"{label} pair {i} {side}: " + " ".join(f"{k}={v:.4g}" for k, v in measured.items()),
+                  file=sys.stderr)
         first.append(order[0])
         if i >= 1:
-            yield i + 1, first, walls, outputs
+            yield i + 1, first, values, outputs
 
 
 def side_stats(runs):
@@ -213,31 +218,26 @@ def main(argv=None):
             doc["parent" if key == "parent_rev" else key] = getattr(args, key)
     doc.setdefault("workloads", {})
 
+    def perfbench_run(workload, seed):
+        def run(checkout):
+            result, details = run_once(checkout, workload, seed, seconds)
+            doc.setdefault("environment", details.get("environment"))
+            return {name: result["metrics"][name]["value"] for name in specs}, result["correct"]
+        return run
+
     for workload in workloads:
         for seed in args.seeds:
-            values = {side: {name: [] for name in specs} for side in SIDES}
-            first, correct = [], True
-            for i in range(PAIRS):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    result, details = run_once(getattr(args, side), workload, seed, seconds)
-                    correct = correct and result["correct"]
-                    for name in specs:
-                        values[side][name].append(result["metrics"][name]["value"])
-                    doc.setdefault("environment", details.get("environment"))
-                    print(f"{workload} seed {seed} pair {i} {side}: "
-                          + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), file=sys.stderr)
-                first.append(order[0])
-                if i >= 1:
-                    doc["workloads"].setdefault(workload, {})[f"seed_{seed}"] = {
-                        "pairs": i + 1, "all_correct": correct, "first": first,
-                        "metrics": summarize(values, specs)}
-                    _write(args.out, doc)
+            for pairs, first, values, correct in alternating_pairs(
+                    args, perfbench_run(workload, seed), f"{workload} seed {seed}", PAIRS):
+                doc["workloads"].setdefault(workload, {})[f"seed_{seed}"] = {
+                    "pairs": pairs, "all_correct": all(correct["parent"] + correct["change"]), "first": first,
+                    "metrics": summarize(values, specs)}
+                _write(args.out, doc)
 
     for table in args.tables:
         for seed in args.seeds:
             for pairs, first, walls, digests in alternating_pairs(
-                    args, lambda checkout: run_table(checkout, table, seed), f"{table} seed {seed}"):
+                    args, lambda checkout: run_table(checkout, table, seed), f"{table} seed {seed}", TABLE_PAIRS):
                 doc.setdefault("tables", {}).setdefault(table, {})[f"seed_{seed}"] = {
                     "command": " ".join(["cqrnet replicate", table, *TABLES[table], "--seed", str(seed)]),
                     "pairs": pairs, "first": first, "metrics": summarize(walls, {"wall_s": specs["wall_s"]}),
@@ -246,7 +246,7 @@ def main(argv=None):
                 _write(args.out, doc)
 
     if args.tier1:
-        for pairs, first, walls, runs in alternating_pairs(args, run_tier1, "tier-1"):
+        for pairs, first, walls, runs in alternating_pairs(args, run_tier1, "tier-1", TABLE_PAIRS):
             doc["tier1"] = {
                 "command": "PYTHONPATH=src python3 " + " ".join(TIER1_COMMAND), "pairs": pairs, "first": first,
                 "metrics": summarize(walls, {"wall_s": specs["wall_s"]}), "runs": runs,
