@@ -272,8 +272,8 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         steps += 1
         clipped += adam_step(flat, grads, slices, m, v, steps, cfg)
 
+    np.copyto(flat, best_flat)  # the copy's params are views of flat; copying it drops its buffers
     fitted = net.copy()
-    fitted.params = {k: best_flat[sl].reshape(net.params[k].shape) for k, sl in slices.items()}
     diagnostics = {"stop_reason": stop_reason, "clip_share": clipped / steps}
     if loss_kind == "censored_nll":
         # once, at the returned weights: rows below their threshold carry no gradient
