@@ -272,8 +272,8 @@ def fit(net, loss_kind, train, val, cfg: TrainConfig, theta=None) -> FitResult:
         steps += 1
         clipped += adam_step(flat, grads, slices, m, v, steps, cfg)
 
-    np.copyto(flat, best_flat)  # the copy's params are views of flat; copying it drops its buffers
-    fitted = net.copy()
+    np.copyto(flat, best_flat)  # into the views that are the trained copy's params
+    fitted = net.copy()  # without the buffers of its passes
     diagnostics = {"stop_reason": stop_reason, "clip_share": clipped / steps}
     if loss_kind == "censored_nll":
         # once, at the returned weights: rows below their threshold carry no gradient
