@@ -175,7 +175,7 @@ def reuse_fit(result, model, theta, seed):
     mirrored = isinstance(result.net, MirrorWrapper)
     source = result.net.inner if mirrored else result.net
     net = parse_model_name(model).build(source.dim)
-    net.params = {k: v.copy() for k, v in source.params.items()}
+    net._load_params(source.params)
     return replace(result, net=MirrorWrapper(net) if mirrored else net, theta=theta, seed=seed)
 
 

@@ -154,11 +154,9 @@ class _Net:
 
     # -- housekeeping ------------------------------------------------------
     def copy(self):
-        import copy as _copy
-
-        dup = _copy.copy(self)
-        dup.params = {k: v.copy() for k, v in self.params.items()}
-        dup._cache = None
+        """What `net_from_dict(self.to_dict())` rebuilds: the parameters copied, no buffer or instance attribute."""
+        dup = type(self)(**self.config())
+        dup._load_params(self.params)
         return dup
 
     def config(self) -> dict:
@@ -174,7 +172,7 @@ class _Net:
 
     def _load_params(self, params: dict):
         for k in self.param_order:
-            arr = np.asarray(params[k], dtype=float)
+            arr = np.array(params[k], dtype=float)
             if arr.shape != self.params[k].shape:
                 raise ValueError(f"parameter {k} has shape {arr.shape}, expected {self.params[k].shape}")
             self.params[k] = arr
@@ -254,11 +252,6 @@ class RegularizedLinearNet(LinearQuantileNet):
             dropout_mask = np.divide(keep, 1.0 - self.dropout_rate, out=mask)
         np.multiply(X[:n, 1:], dropout_mask, out=dropped[:n, 1:])
         return self._pass(dropped, n)
-
-    def copy(self):
-        dup = super().copy()
-        dup._dropped = None
-        return dup
 
     def backward(self, dpred):
         grads = super().backward(dpred)

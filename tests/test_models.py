@@ -489,6 +489,27 @@ def test_mirror_serialization_round_trip():
     assert np.allclose(net.forward(X), clone.forward(X))
 
 
+@pytest.mark.parametrize("case", [*sorted(ONE_PASS_NETS), "mirrored"])
+def test_a_copy_is_a_rebuild_from_the_config(case):
+    """net.copy() is what its constructor and parameters make: a fresh net's
+    attributes, none of the source's buffers or instance attributes, no
+    array shared with the source, and the same saved form."""
+    net = ONE_PASS_NETS["reg-linear-dropout" if case == "mirrored" else case]()
+    init_weights(net, "standard_normal", seed=3)
+    X = np.column_stack([np.ones(30), np.random.default_rng(4).normal(size=(30, net.dim - 1))])
+    net.forward_train(X, np.random.default_rng(5), 20)  # fills the buffers a training pass keeps
+    net.forward_train, net.note = (lambda *args: None), "the caller's"
+    if case == "mirrored":
+        net = MirrorWrapper(net)
+    dup = net.copy()
+    for got, source in [(dup, net)] + ([(dup.inner, net.inner)] if case == "mirrored" else []):
+        fresh = type(source)(**source.config())
+        assert type(got) is type(source)
+        assert {k: type(v) for k, v in vars(got).items()} == {k: type(v) for k, v in vars(fresh).items()}
+    assert not any(np.shares_memory(a, b) for a in dup.params.values() for b in net.params.values())
+    assert dup.to_dict() == net.to_dict()
+
+
 def test_lstm_constant_sequence_batch_order_invariance():
     net = init_weights(LstmQuantileNet(lags=7, hidden_size=4), "standard_normal", seed=14)
     X = np.column_stack([np.ones(10), np.full((10, 7), 3.7)])

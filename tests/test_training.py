@@ -195,30 +195,50 @@ def test_lr_grid_selection():
 
 
 @pytest.mark.parametrize("max_epochs", [5, 400])
-def test_fit_calls_forward_train_once_per_epoch_first(max_epochs):
+def test_fit_calls_forward_train_once_per_epoch_first(monkeypatch, max_epochs):
     """Each epoch opens with one forward_train call and makes no forward
     call; the benchmark's epoch clock relies on it. The one forward call
-    follows the last epoch: the censored fit's clamp share."""
+    follows the last epoch: the censored fit's clamp share. The methods are
+    recorded on the class, as `fit` trains a copy of the net."""
     ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 21))
     train, val, _ = split(ds, seed=22)
     net = init_weights(RegularizedLinearNet(3), "ones")
     calls = []
 
     def recorded(name, method):
-        def call(*args, **kwargs):
+        def call(self, *args, **kwargs):
             calls.append(name)
-            return method(*args, **kwargs)
+            return method(self, *args, **kwargs)
         return call
 
     for name in ("forward", "forward_train", "backward"):
-        setattr(net, name, recorded(name, getattr(net, name)))
+        monkeypatch.setattr(RegularizedLinearNet, name, recorded(name, getattr(RegularizedLinearNet, name)))
     result = fit(net, "censored_nll", train, val, TrainConfig(learning_rate=0.05, max_epochs=max_epochs), 0.5)
+    assert len(set(result.val_trace)) > 1  # the copy trains
     expected = ["forward_train", "backward"] * (result.stopping_epoch + 1)
     if result.diagnostics["stop_reason"] == "patience":
         expected.pop()  # the stopping epoch ends before backward
     expected.append("forward")
     assert result.diagnostics["stop_reason"] == ("max_epochs" if max_epochs == 5 else "patience")
     assert calls == expected
+
+
+@pytest.mark.parametrize("make", [LinearQuantileNet, RegularizedLinearNet], ids=["linear", "dropout"])
+@pytest.mark.parametrize("name", ["forward_train", "backward"])
+def test_fit_trains_a_rebuild_that_leaves_instance_attributes_behind(make, name):
+    """A method replaced on the instance stays with the caller's net: `fit`
+    trains a copy rebuilt from the net's config and weights, as it trains
+    an unpatched net."""
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 300, 21))
+    train, val, _ = split(ds, seed=22)
+    cfg = TrainConfig(learning_rate=0.05)
+    plain = fit(init_weights(make(3), "ones"), "censored_nll", train, val, cfg, 0.5)
+    net, calls = init_weights(make(3), "ones"), []
+    method = getattr(net, name)
+    setattr(net, name, lambda *args: calls.append(name) or method(*args))
+    result = fit(net, "censored_nll", train, val, cfg, 0.5)
+    assert calls == [] and len(set(result.val_trace)) > 1
+    assert result.val_trace == plain.val_trace
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
