@@ -192,17 +192,18 @@ def _fit_cell(cell):
 def fit_cells(cells, jobs=1):
     """Each FitCell's FitResult, in cell order. Every cell is checked by
     `training_problem` before any fit runs (a refused one is a ValueError
-    naming fit-<model>-theta<theta>). Each problem, under its cell's config
-    but for the seed, is fitted once, in first-seen order, in `jobs` worker
-    processes when jobs > 1; its later cells get `reuse_fit` copies. A fit
-    is held only until the last cell of its problem is yielded."""
+    naming fit-<model>-theta<theta>). Each problem on a split (its train and
+    val objects by id: `cells` holds them, so no id is reused), under its
+    cell's config but for the seed, is fitted once, in first-seen order, in
+    `jobs` worker processes when jobs > 1; its later cells get `reuse_fit`
+    copies. A fit is held only until the last cell of its problem is yielded."""
     cells, keys, firsts = list(cells), [], {}
     for cell in cells:
         try:
             problem = training_problem(cell.model, cell.theta, cell.train, cell.val, cell.init_scheme, cell.init_seed)
         except ValueError as exc:
             raise ValueError(f"fit-{cell.model}-theta{cell.theta:g}: {exc}") from None
-        keys.append((problem, replace(cell.cfg, seed=0), cell.use_lr_grid))
+        keys.append((problem, id(cell.train), id(cell.val), replace(cell.cfg, seed=0), cell.use_lr_grid))
         firsts.setdefault(keys[-1], cell)
     last = {key: i for i, key in enumerate(keys)}
     tasks, pool = list(firsts.values()), None

@@ -145,6 +145,19 @@ def test_fit_cells_holds_a_fit_only_while_a_later_cell_poses_its_problem():
     assert not any(ref() for ref in refs)
 
 
+def test_fit_cells_reuses_a_fit_only_within_its_split():
+    """Two splits whose cells pose the same problem (model, level and
+    initial weights; the key holds no data) each get their own fit."""
+    splits = [datagen.split(datagen.gen_synthetic(datagen.SyntheticSpec(noise, 300, seed)), seed=seed)
+              for noise, seed in (("standard_gaussian", 1), ("heteroskedastic", 2))]
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=300)
+    cells = [FitCell("c-linear", train, val, cfg, 0.5) for train, val, _ in splits]
+    results = list(fit_cells(cells))
+    assert results[0].train_trace is not results[1].train_trace
+    for cell, result in zip(cells, results, strict=True):
+        _bit_equal_fits(result, fit_model(*cell))
+
+
 def test_t1_cells_match_analytic_values():
     run = run_t1(master_seed=0, replicates=10)
     values = run.cells["values"]
@@ -238,6 +251,16 @@ def test_t4_lstm_cell_pinned():
     mils = [float(row[4]) for row in run.raw_rows]
     assert mils == pytest.approx([90.9172366289812, 101.52178552829204], rel=1e-6)
     assert run.passed
+
+
+def test_t4_dropout_cell_pinned():
+    """Table 4's c-reg-linear cells at a fixed seed: its dropout draws come
+    from TrainConfig's default seed, which no other pin fits a dropout net
+    under. ICPs exact, MILs to 1e-6."""
+    run = run_t4(master_seed=1, replicates=2, alphas=(0.2,), n_days=120, models=("c-reg-linear",), jobs=1)
+    assert [row[:3] + row[5:] for row in run.raw_rows] == [["c-reg-linear", 0.2, 0, 0], ["c-reg-linear", 0.2, 1, 0]]
+    assert [float(row[3]) for row in run.raw_rows] == [1.0, 0.7837837837837838]
+    assert [float(row[4]) for row in run.raw_rows] == pytest.approx([393.723108200877, 150.02011910853727], rel=1e-6)
 
 
 # Each harness at seed 1 on a small grid, and the raw-row columns pinned for
