@@ -215,7 +215,9 @@ def cmd_evaluate(args, parser):
                 f"evaluate with the seed the fit used")
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
         try:
-            fits[(model, float(doc["theta"]))] = net_from_dict(doc["net"])
+            if not 0.0 < (theta := float(doc["theta"])) < 1.0:  # a bool too: true reads as 1.0
+                raise ValueError(f"theta must be in (0, 1), got {doc['theta']!r}")
+            fits[(model, theta)] = net_from_dict(doc["net"])
         except (KeyError, TypeError, ValueError, MemoryError) as exc:  # MemoryError: a config too large to build
             why = f"a fit result needs the key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: {why}") from None

@@ -205,9 +205,11 @@ def training_loss(net, loss_kind, train, val, theta=None):
     training and validation sets that loss reads. Under a censored
     likelihood (the censored NLL, Tobit), right-censored sets are mirrored
     and the level is 1 - theta. Raises the ValueError of a fit that `fit`
-    refuses, before any epoch runs."""
+    refuses (a given theta outside (0, 1) under every loss), before any epoch runs."""
     if train.n < 1 or val.n < 1:
         raise ValueError("train and val must be nonempty")
+    if theta is not None:
+        losses._check_theta(theta)
     if loss_kind not in losses.TRAINING_LOSSES:
         raise ValueError(f"loss_kind must be one of {tuple(losses.TRAINING_LOSSES)}, got {loss_kind!r}")
     loss_cls = losses.TRAINING_LOSSES[loss_kind]

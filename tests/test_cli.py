@@ -273,17 +273,19 @@ def test_generate_refuses_a_count_below_one_at_the_flag(tmp_path, capsys, flag, 
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "fit", "evaluate", "generate-negative-lags"])
+@pytest.mark.parametrize("command", ["generate", "fit", "fit-tobit", "evaluate", "generate-negative-lags"])
 def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys, command):
     """Every write makes the directory it needs, so a command refused before
-    its first write (no mode; a theta outside (0, 1); no fit files; a
-    negative lag count) exits 2 and leaves no directory behind."""
+    its first write (no mode; a theta outside (0, 1), also for Tobit, which
+    reads no level; no fit files; a negative lag count) exits 2 and leaves
+    no directory behind."""
     data_dir, out = tmp_path / "data", tmp_path / "out"
     assert run(["generate", "--synthetic", "standard_gaussian", "--n", 100, "--out-dir", data_dir]) == 0
     data = data_dir / "synthetic-standard_gaussian.csv"
     argv = {"generate": ["generate"],
             "generate-negative-lags": ["generate", "--censor", "partial", "--n-days", 60, "--lags", -1],
             "fit": ["fit", "--data", data, "--models", "c-linear", "--thetas", 1.5],
+            "fit-tobit": ["fit", "--data", data, "--models", "tobit", "--thetas", 1.5],
             "evaluate": ["evaluate", "--data", data, "--fits", data_dir]}[command]
     assert _exit_status([*argv, "--out-dir", out]) == 2
     assert not out.exists()
@@ -702,7 +704,9 @@ def test_evaluate_refuses_net_documents_of_another_format(tmp_path, capsys):
     (lambda doc: doc.pop("net"), "'net'"),
     (lambda doc: doc.update(theta="median"), "'median'"),
     (lambda doc: doc.update(theta=None), "NoneType"),
-], ids=["no-theta", "no-net", "theta-string", "theta-null"])
+    (lambda doc: doc.update(theta=1.5), "theta must be in (0, 1), got 1.5"),
+    (lambda doc: doc.update(theta=True), "theta must be in (0, 1), got True"),
+], ids=["no-theta", "no-net", "theta-string", "theta-null", "theta-above-one", "theta-bool"])
 def test_evaluate_refuses_a_fit_json_without_a_numeric_theta_or_a_net(tmp_path, capsys, change, says):
     data_dir = tmp_path / "data"
     assert run(["generate", "--synthetic", "standard_gaussian", "--n", 300, "--seed", 1, "--out-dir", data_dir]) == 0

@@ -152,6 +152,17 @@ def test_fit_requires_theta_for_quantile_losses():
         fit(init_weights(LinearQuantileNet(3), "ones"), "tilted", ds, ds, TrainConfig())
 
 
+@pytest.mark.parametrize("theta", [1.5, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("loss_kind", ["tilted", "censored_nll", "tobit"])
+def test_fit_refuses_a_level_outside_the_unit_interval(loss_kind, theta):
+    """Under every loss, Tobit's too, and on right-censored data the level
+    is checked as given, before the mirror turns it into 1 - theta."""
+    ds = gen_synthetic(SyntheticSpec("standard_gaussian", 50, 1)).mirrored()
+    net = init_weights((TobitNet if loss_kind == "tobit" else LinearQuantileNet)(3), "ones")
+    with pytest.raises(ValueError, match=rf"^theta must be in \(0, 1\), got {theta}$"):
+        fit(net, loss_kind, ds, ds, TrainConfig(), theta)
+
+
 def test_fit_mirrors_right_censored_data():
     """`fit` takes right-censored data under the censored NLL through the
     mirror; the loss object itself still refuses it, and a missing level is
@@ -167,6 +178,19 @@ def test_fit_mirrors_right_censored_data():
         CensoredQrLoss(ds, ds, 0.5, net)
     with pytest.raises(ValueError, match="quantile level"):
         fit(net.copy(), "censored_nll", ds, ds, TrainConfig())
+
+
+def test_fit_trains_on_one_row_each_and_clocks_its_own_time():
+    """One training row and one validation row are enough to fit, and the
+    wall time is positive and no longer than the call took."""
+    import time
+
+    train, val = linear_dataset([1.0, 2.0], n=1, seed=30), linear_dataset([1.0, 2.0], n=1, seed=31)
+    started = time.perf_counter()
+    result = fit(init_weights(LinearQuantileNet(2), "ones"), "tilted", train, val, TrainConfig(max_epochs=20), 0.5)
+    took = time.perf_counter() - started
+    assert len(result.val_trace) == result.stopping_epoch + 1 > 1
+    assert 0.0 < result.wall_time <= took
 
 
 def test_fit_aborts_on_non_finite_loss():
@@ -397,6 +421,13 @@ def test_impute_ratio_scale_invariance(seed, c):
 def test_impute_zero_mean_errors():
     with pytest.raises(ValueError):
         train_mean_ratio(np.ones(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+def test_impute_refuses_a_ratio_that_is_not_a_positive_real(ratio):
+    cs = censor_partial(np.arange(1.0, 101.0), 0.5, 0.3, 0.6, seed=18)
+    with pytest.raises(ValueError, match="positive real"):
+        impute_thresholds(ratio, cs)
 
 
 def test_imputed_thresholds_respect_right_censoring():
