@@ -28,6 +28,9 @@ writes `.pyc` files, so both checkouts import cqrnet compiled from source every 
 `setup_s` compares the same work. Files already byte-compiled are still read, so start from fresh
 checkouts (`git archive`). The file records CHILD_ENV.
 
+The file also records `src_lines`, each checkout's `wc -l src/cqrnet/*.py` (the newlines in
+cqrnet's sources), so the line count comes from the checkouts that were timed.
+
 The output file is rewritten after every pair, and entries of other workloads and seeds already in
 it are kept, so workloads can be run one invocation at a time. A run that exits nonzero stops the
 script with its error; the pairs finished before it stay in the file.
@@ -36,6 +39,7 @@ script with its error; the pairs finished before it stay in the file.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -64,6 +68,15 @@ DEFINITIONS = {
                "exceeds bound * |parent median| and not every change run is better than every parent run; "
                "'within_bound'",
 }
+
+
+def src_lines(checkout):
+    """`wc -l src/cqrnet/*.py` in `checkout`: the newlines in cqrnet's sources."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "cqrnet", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -212,6 +225,7 @@ def main(argv=None):
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         "child_env": CHILD_ENV,
         **DEFINITIONS,
+        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
     })
     for key in ("parent_rev", "claim"):
         if getattr(args, key) is not None:

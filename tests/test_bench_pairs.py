@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -37,8 +38,13 @@ def test_summary_reproduces_bench_14(workload, seed):
 
 def test_main_runs_ten_alternating_pairs_at_the_benchmark_length(tmp_path, monkeypatch):
     """Every run lasts BENCHMARK.json's run_seconds, and each workload and seed
-    gets 10 pairs that alternate which side runs first."""
+    gets 10 pairs that alternate which side runs first. The file records
+    each checkout's `wc -l src/cqrnet/*.py`."""
     module = _bench_pairs()
+    (tmp_path / "src" / "cqrnet").mkdir(parents=True)
+    (tmp_path / "src" / "cqrnet" / "a.py").write_text("a = 1\n\nb = 2\n")
+    (tmp_path / "src" / "cqrnet" / "b.py").write_text("c = 3\n")
+    (tmp_path / "src" / "cqrnet" / "notes.txt").write_text("not python\n")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     calls = []
@@ -53,7 +59,10 @@ def test_main_runs_ten_alternating_pairs_at_the_benchmark_length(tmp_path, monke
     module.main(["--parent", str(tmp_path), "--change", ROOT, "--out", out,
                  "--workloads", "synthetic-tables", "--seeds", "1"])
     with open(out) as fh:
-        cell = json.load(fh)["workloads"]["synthetic-tables"]["seed_1"]
+        doc = json.load(fh)
+    cell = doc["workloads"]["synthetic-tables"]["seed_1"]
+    sources = pathlib.Path(ROOT, "src", "cqrnet").glob("*.py")
+    assert doc["src_lines"] == {"parent": 4, "change": sum(len(p.read_text().splitlines()) for p in sources)}
     assert {seconds for _, seconds in calls} == {bench["run_seconds"]} and len(calls) == 20
     assert cell["pairs"] == 10 and cell["first"] == ["parent", "change"] * 5
     assert cell["metrics"]["wall_s"]["pair_wins"] == 10 and cell["metrics"]["epochs_per_s"]["pair_wins"] == 0
