@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, datagen, metrics
+from . import __version__, datagen, losses, metrics
 from .experiments import INTERVAL_PAIR, TABLES, FitCell, child_seed, fit_cells, parse_model_name, split_for_fit
 from .models import net_from_dict
 from .training import TrainConfig
@@ -215,9 +215,7 @@ def cmd_evaluate(args, parser):
                 f"evaluate with the seed the fit used")
         model = name[len("fit-"):].rsplit("-theta", 1)[0]
         try:
-            if not 0.0 < (theta := float(doc["theta"])) < 1.0:  # a bool too: true reads as 1.0
-                raise ValueError(f"theta must be in (0, 1), got {doc['theta']!r}")
-            fits[(model, theta)] = net_from_dict(doc["net"])
+            fits[(model, losses._check_theta(doc["theta"]))] = net_from_dict(doc["net"])
         except (KeyError, TypeError, ValueError, MemoryError) as exc:  # MemoryError: a config too large to build
             why = f"a fit result needs the key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: {why}") from None

@@ -705,7 +705,7 @@ def test_evaluate_refuses_net_documents_of_another_format(tmp_path, capsys):
     (lambda doc: doc.update(theta="median"), "'median'"),
     (lambda doc: doc.update(theta=None), "NoneType"),
     (lambda doc: doc.update(theta=1.5), "theta must be in (0, 1), got 1.5"),
-    (lambda doc: doc.update(theta=True), "theta must be in (0, 1), got True"),
+    (lambda doc: doc.update(theta=True), "theta must be in (0, 1), got 1.0"),
 ], ids=["no-theta", "no-net", "theta-string", "theta-null", "theta-above-one", "theta-bool"])
 def test_evaluate_refuses_a_fit_json_without_a_numeric_theta_or_a_net(tmp_path, capsys, change, says):
     data_dir = tmp_path / "data"
